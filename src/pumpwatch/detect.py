@@ -5,7 +5,9 @@ window, calibrate threshold = mean + population standard deviation of the
 window scores on held-out healthy data, let each window of a sample vote
 (score strictly above threshold = anomalous), and flag the sample when at
 least half of its windows vote anomalous (ties count as anomalous, biasing
-toward recall).
+toward recall).  A window whose score is not a number (NaN, e.g. from a
+non-finite input that reached scoring) is not at or below the threshold,
+so it votes anomalous instead of silently counting as healthy.
 """
 
 from __future__ import annotations
@@ -82,10 +84,14 @@ def calibrate_threshold(errors) -> Threshold:
 
 
 def classify(score: AnomalyScore, th: Threshold) -> bool:
-    """Majority vote over windows; fills votes_anomalous and is_flagged."""
+    """Majority vote over windows; fills votes_anomalous and is_flagged.
+
+    A window votes anomalous unless its error is at or below the threshold,
+    so a NaN error votes anomalous.
+    """
     if not score.window_errors:
         raise UsageError("cannot classify a sample with no window errors")
-    votes = sum(1 for e in score.window_errors if e > th.value)
+    votes = sum(1 for e in score.window_errors if not e <= th.value)
     score.votes_anomalous = votes
     score.is_flagged = votes * 2 >= len(score.window_errors)
     return score.is_flagged

@@ -4,9 +4,16 @@ Conventions shared by every layer:
 
 - Arrays are batch-first: (batch, features) for flat data, (batch, time,
   features) for sequences.
-- ``forward(x, perturb=None)`` returns ``(y, cache)``; ``backward(grad,
-  cache)`` returns ``(grad_input, param_grads)`` where param_grads maps the
-  layer's local tensor names to gradient arrays of matching shape.
+- ``forward(x, perturb=None, keep_cache=True)`` returns ``(y, cache)``;
+  ``backward(grad, cache)`` returns ``(grad_input, param_grads)`` where
+  param_grads maps the layer's local tensor names to gradient arrays of
+  matching shape.
+- ``keep_cache=False`` is the cache-free forward used for scoring: the
+  output is bit-identical, and the layer may skip keeping what only
+  ``backward`` needs.  LSTM then reuses one slot of recurrent state for
+  every time step instead of storing each step's gates, cell state and
+  tanh(cell state), and returns ``None`` as its cache.  The other layers'
+  caches are the input or shape they hold anyway, so they ignore the flag.
 - Parameters live in ``self.params()`` as named float64 arrays; optimizers
   update them in place.
 
@@ -48,7 +55,7 @@ class Layer:
     def describe(self):
         return type(self).__name__
 
-    def forward(self, x, perturb=None):
+    def forward(self, x, perturb=None, keep_cache=True):
         raise NotImplementedError
 
     def backward(self, grad, cache):
@@ -82,7 +89,7 @@ class Dense(Layer):
     def describe(self):
         return f"Dense({self.in_dim}->{self.units})"
 
-    def forward(self, x, perturb=None):
+    def forward(self, x, perturb=None, keep_cache=True):
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"{self.describe()}: expected last axis {self.in_dim}, "
                              f"got {x.shape}")
@@ -107,7 +114,7 @@ class Dense(Layer):
 
 
 class Tanh(Layer):
-    def forward(self, x, perturb=None):
+    def forward(self, x, perturb=None, keep_cache=True):
         y = np.tanh(x)
         return y, y
 
@@ -153,7 +160,7 @@ class Conv1D(Layer):
         xp = np.concatenate([x, np.zeros((batch, k - 1, self.in_channels))], axis=1)
         return np.concatenate([xp[:, o:o + time, :] for o in range(k)], axis=2)
 
-    def forward(self, x, perturb=None):
+    def forward(self, x, perturb=None, keep_cache=True):
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ShapeError(f"{self.describe()}: expected (batch, time, "
                              f"{self.in_channels}), got {x.shape}")
@@ -191,7 +198,7 @@ class MaxPool1D(Layer):
     def spec(self):
         return {"kind": "MaxPool1D", "pool_size": self.pool_size}
 
-    def forward(self, x, perturb=None):
+    def forward(self, x, perturb=None, keep_cache=True):
         p = self.pool_size
         if x.ndim != 3 or x.shape[1] % p != 0:
             raise ShapeError(f"MaxPool1D: time axis of {x.shape} not divisible by {p}")
@@ -220,7 +227,7 @@ class Upsample1D(Layer):
     def spec(self):
         return {"kind": "Upsample1D", "factor": self.factor}
 
-    def forward(self, x, perturb=None):
+    def forward(self, x, perturb=None, keep_cache=True):
         if x.ndim != 3:
             raise ShapeError(f"Upsample1D: expected 3-d input, got {x.shape}")
         return np.repeat(x, self.factor, axis=1), x.shape
@@ -239,7 +246,7 @@ class RepeatLast(Layer):
     def spec(self):
         return {"kind": "RepeatLast", "repeat_count": self.repeat_count}
 
-    def forward(self, x, perturb=None):
+    def forward(self, x, perturb=None, keep_cache=True):
         if x.ndim != 2:
             raise ShapeError(f"RepeatLast: expected 2-d input, got {x.shape}")
         return np.repeat(x[:, None, :], self.repeat_count, axis=1), None
@@ -251,7 +258,7 @@ class RepeatLast(Layer):
 class Flatten(Layer):
     """(B, T, C) -> (B, T*C)."""
 
-    def forward(self, x, perturb=None):
+    def forward(self, x, perturb=None, keep_cache=True):
         if x.ndim != 3:
             raise ShapeError(f"Flatten: expected 3-d input, got {x.shape}")
         return x.reshape(x.shape[0], -1), x.shape
@@ -269,7 +276,7 @@ class Reshape(Layer):
     def spec(self):
         return {"kind": "Reshape", "target_shape": list(self.target_shape)}
 
-    def forward(self, x, perturb=None):
+    def forward(self, x, perturb=None, keep_cache=True):
         want = int(np.prod(self.target_shape))
         if x.ndim != 2 or x.shape[1] != want:
             raise ShapeError(f"Reshape{self.target_shape}: expected (batch, {want}), "
@@ -287,6 +294,18 @@ class LSTM(Layer):
     sigmoid on i/f/o and tanh on g; c_t = f*c_{t-1} + i*g; h_t = o*tanh(c_t).
     With return_sequences the output is (B, T, units), otherwise the last
     h_T as (B, units).
+
+    One ``tanh`` per step activates all four gates at once, using
+    sigmoid(z) = 0.5 * (1 + tanh(z / 2)): the i/f/o columns are scaled by
+    0.5 on the way in and mapped back with ``* 0.5 + 0.5``, the g columns
+    pass through with scale 1 and shift 0.  Halving is exact in binary
+    floating point, so the 0.5 is folded into W, U and b once per call.
+    The activated gates of every step live in one fused buffer (Appleyard
+    et al. 2016, arXiv:1604.01946, fuse the gates the same way), written
+    in place.  Inside the layer every buffer is time-major, (T, B, ...),
+    so that each step reads and writes contiguous (B, ...) slices; a
+    batch-major slice [:, t] is strided and made elementwise ops several
+    times slower.  The sequence output is a (B, T, units) view of it.
     """
 
     def __init__(self, in_dim, units, return_sequences=True):
@@ -297,6 +316,13 @@ class LSTM(Layer):
         self.W = np.zeros((self.in_dim, 4 * u))
         self.U = np.zeros((u, 4 * u))
         self.b = np.zeros(4 * u)
+        # Per-column constants: a = tanh(z * scale) * scale + shift, and
+        # da/dz = a * (is_sigmoid - a) + is_tanh.
+        self._is_sigmoid = np.ones(4 * u)
+        self._is_sigmoid[2 * u:3 * u] = 0.0
+        self._is_tanh = 1.0 - self._is_sigmoid
+        self._scale = 1.0 - 0.5 * self._is_sigmoid
+        self._shift = 0.5 * self._is_sigmoid
 
     def params(self):
         return {"W": self.W, "U": self.U, "b": self.b}
@@ -316,112 +342,117 @@ class LSTM(Layer):
     def describe(self):
         return f"LSTM({self.in_dim}->{self.units})"
 
-    def forward(self, x, perturb=None):
+    def forward(self, x, perturb=None, keep_cache=True):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(f"{self.describe()}: expected (batch, time, "
                              f"{self.in_dim}), got {x.shape}")
         batch, time, _ = x.shape
         u = self.units
-        pre = x @ self.W + self.b
-        u_perturbs = []
+        scale, shift = self._scale, self._shift
+        # Time-major inside the layer, so that every step's slice is contiguous.
+        xt = np.ascontiguousarray(x.transpose(1, 0, 2))
+        pre = xt @ (self.W * scale)
+        pre += self.b * scale
+        u_perturbs = []  # (row, U row, U column, scaled delta)
         if perturb:
             for row, pname, flat, delta in perturb:
                 if pname == "W":
                     r, c = divmod(flat, 4 * u)
-                    pre[row, :, c] += delta * x[row, :, r]
+                    pre[:, row, c] += delta * scale[c] * xt[:, row, r]
                 elif pname == "b":
-                    pre[row, :, flat] += delta
+                    pre[:, row, flat] += delta * scale[flat]
                 else:
-                    u_perturbs.append((row, flat, delta))
+                    r, c = divmod(flat, 4 * u)
+                    u_perturbs.append((row, r, c, delta * scale[c]))
+        if u_perturbs:
+            u_rows, u_src, u_cols, u_delta = (np.asarray(v) for v in zip(*u_perturbs))
+        Us = self.U * scale
 
+        # Without a cache, one slot per buffer is reused by every step; the
+        # output still needs all T steps of h when it is the sequence.
+        slots = time if keep_cache else 1
+        h_slots = time if keep_cache or self.return_sequences else 1
+        gates = np.empty((slots, batch, 4 * u))
+        cs = np.empty((slots, batch, u))
+        tanh_cs = np.empty((slots, batch, u))
+        hs = np.empty((h_slots, batch, u))
+        ig = np.empty((batch, u))
         h = np.zeros((batch, u))
         c = np.zeros((batch, u))
-        hs = np.empty((batch, time, u))
-        cs = np.empty((batch, time, u))
-        gates_i = np.empty((batch, time, u))
-        gates_f = np.empty((batch, time, u))
-        gates_g = np.empty((batch, time, u))
-        gates_o = np.empty((batch, time, u))
-        tanh_cs = np.empty((batch, time, u))
         for t in range(time):
-            z = pre[:, t, :] + h @ self.U
-            for row, flat, delta in u_perturbs:
-                r, col = divmod(flat, 4 * u)
-                z[row, col] += delta * h[row, r]
-            zi, zf, zg, zo = z[:, :u], z[:, u:2 * u], z[:, 2 * u:3 * u], z[:, 3 * u:]
-            gi = _sigmoid(zi)
-            gf = _sigmoid(zf)
-            gg = np.tanh(zg)
-            go = _sigmoid(zo)
-            c = gf * c + gi * gg
-            tc = np.tanh(c)
-            h = go * tc
-            gates_i[:, t] = gi
-            gates_f[:, t] = gf
-            gates_g[:, t] = gg
-            gates_o[:, t] = go
-            cs[:, t] = c
-            tanh_cs[:, t] = tc
-            hs[:, t] = h
-        out = hs if self.return_sequences else hs[:, -1, :]
-        cache = (x, hs, cs, gates_i, gates_f, gates_g, gates_o, tanh_cs)
+            a = gates[t % slots]
+            np.matmul(h, Us, out=a)
+            a += pre[t]
+            if u_perturbs:
+                np.add.at(a, (u_rows, u_cols), u_delta * h[u_rows, u_src])
+            np.tanh(a, out=a)
+            a *= scale
+            a += shift
+            c_next = cs[t % slots]
+            np.multiply(a[:, u:2 * u], c, out=c_next)
+            np.multiply(a[:, :u], a[:, 2 * u:3 * u], out=ig)
+            c_next += ig
+            c = c_next
+            tc = tanh_cs[t % slots]
+            np.tanh(c, out=tc)
+            h = hs[t % h_slots]
+            np.multiply(a[:, 3 * u:], tc, out=h)
+        out = hs.transpose(1, 0, 2) if self.return_sequences else h
+        cache = (xt, hs, cs, gates, tanh_cs) if keep_cache else None
         return out, cache
 
     def backward(self, grad, cache):
-        x, hs, cs, gi, gf, gg, go, tcs = cache
-        batch, time, _ = x.shape
+        xt, hs, cs, gates, tcs = cache
+        time, batch, _ = xt.shape
         u = self.units
         if self.return_sequences:
-            if grad.shape != hs.shape:
+            if grad.shape != (batch, time, u):
                 raise ShapeError(f"{self.describe()}: gradient shape {grad.shape} "
-                                 f"does not match output {hs.shape}")
-            grad_h = grad
+                                 f"does not match output {(batch, time, u)}")
+            grad_t = grad.transpose(1, 0, 2)
+            dh = np.zeros((batch, u))
         else:
             if grad.shape != (batch, u):
                 raise ShapeError(f"{self.describe()}: gradient shape {grad.shape} "
                                  f"does not match output {(batch, u)}")
-            grad_h = np.zeros((batch, time, u))
-            grad_h[:, -1, :] = grad
+            dh = grad.copy()
 
-        dz_all = np.empty((batch, time, 4 * u))
-        dh_next = np.zeros((batch, u))
+        dz_all = np.empty((time, batch, 4 * u))
         dc = np.zeros((batch, u))
+        dtc = np.empty((batch, u))
+        deriv = np.empty((batch, 4 * u))
+        Ut = self.U.T
         for t in range(time - 1, -1, -1):
-            dh = grad_h[:, t, :] + dh_next
-            c_prev = cs[:, t - 1, :] if t > 0 else np.zeros((batch, u))
-            do = dh * tcs[:, t]
-            dtc = dh * go[:, t] * (1.0 - tcs[:, t] ** 2) + dc
-            di = dtc * gg[:, t]
-            df = dtc * c_prev
-            dg = dtc * gi[:, t]
-            dc = dtc * gf[:, t]
-            dz = np.concatenate([
-                di * gi[:, t] * (1.0 - gi[:, t]),
-                df * gf[:, t] * (1.0 - gf[:, t]),
-                dg * (1.0 - gg[:, t] ** 2),
-                do * go[:, t] * (1.0 - go[:, t]),
-            ], axis=1)
-            dz_all[:, t, :] = dz
-            dh_next = dz @ self.U.T
+            if self.return_sequences:
+                dh += grad_t[t]
+            a, tc, dz = gates[t], tcs[t], dz_all[t]
+            # dL/dc_t = dh * o * (1 - tanh(c)^2) + dc, with o * tanh(c) = h.
+            np.multiply(hs[t], tc, out=dtc)
+            np.subtract(a[:, 3 * u:], dtc, out=dtc)
+            dtc *= dh
+            dtc += dc
+            np.multiply(dtc, a[:, 2 * u:3 * u], out=dz[:, :u])
+            if t:
+                np.multiply(dtc, cs[t - 1], out=dz[:, u:2 * u])
+            else:
+                dz[:, u:2 * u] = 0.0
+            np.multiply(dtc, a[:, :u], out=dz[:, 2 * u:3 * u])
+            np.multiply(dh, tc, out=dz[:, 3 * u:])
+            np.multiply(dtc, a[:, u:2 * u], out=dc)
+            # Gate derivatives: a * (1 - a) for sigmoid, 1 - a^2 for tanh.
+            np.subtract(self._is_sigmoid, a, out=deriv)
+            deriv *= a
+            deriv += self._is_tanh
+            dz *= deriv
+            np.matmul(dz, Ut, out=dh)
 
-        h_prev = np.concatenate([np.zeros((batch, 1, u)), hs[:, :-1, :]], axis=1)
         dz2 = dz_all.reshape(-1, 4 * u)
         grads = {
-            "W": x.reshape(-1, self.in_dim).T @ dz2,
-            "U": h_prev.reshape(-1, u).T @ dz2,
+            "W": xt.reshape(-1, self.in_dim).T @ dz2,
+            "U": hs[:-1].reshape(-1, u).T @ dz_all[1:].reshape(-1, 4 * u),
             "b": dz2.sum(axis=0),
         }
-        return dz_all @ self.W.T, grads
-
-
-def _sigmoid(x):
-    # Split by sign to stay overflow-free in float64.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+        return (dz_all @ self.W.T).transpose(1, 0, 2), grads
 
 
 LAYER_KINDS = {cls.__name__: cls for cls in

@@ -83,9 +83,18 @@ class SplitMix64:
         return min(int(self.uniforms(1)[0] * bound), bound - 1)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by ``below``."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """In-place Fisher-Yates shuffle driven by ``below``.
+
+        The ``n - 1`` draws come from one ``uniforms`` call; step ``i`` gets
+        ``min(floor(u * (i + 1)), i)``, which is exactly ``below(i + 1)`` on
+        the same stream position.
+        """
+        n = len(items)
+        if n < 2:
+            return
+        bounds = np.arange(n, 1, -1)
+        picks = np.minimum((self.uniforms(n - 1) * bounds).astype(np.int64), bounds - 1)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> np.ndarray:

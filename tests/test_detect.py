@@ -112,6 +112,21 @@ def test_vote_is_strictly_above():
     assert s.votes_anomalous == 0
 
 
+def test_nan_window_errors_vote_anomalous():
+    th = Threshold(value=1.0, mean=1.0, std=0.0, calibration_count=2)
+    nan = float("nan")
+    s = make_score(0, [nan] * 16)
+    assert classify(s, th) is True
+    assert s.votes_anomalous == 16
+    # NaN votes join the strictly-above votes; the majority rule is unchanged
+    s = make_score(0, [nan] * 4 + [2.0] * 4 + [0.5] * 8)
+    assert classify(s, th) is True
+    assert s.votes_anomalous == 8
+    s = make_score(0, [nan] * 7 + [0.5] * 9)
+    assert classify(s, th) is False
+    assert s.votes_anomalous == 7
+
+
 def test_classify_rejects_empty():
     th = Threshold(value=1.0, mean=1.0, std=0.0, calibration_count=2)
     with pytest.raises(UsageError):

@@ -346,6 +346,41 @@ def test_lstm_shape_error():
         LSTM(2, 3).forward(np.zeros((1, 4, 5)))
 
 
+def test_lstm_extreme_preactivations_stay_finite():
+    # |z| ~ 1e3 overflows a naive exp(-z) sigmoid; tanh saturates instead
+    layer = LSTM(2, 3)
+    layer.init_params(seed=5)
+    layer.b[:] = 1e3 * np.where(np.arange(12) % 2, 1.0, -1.0)
+    x = np.random.default_rng(23).normal(size=(2, 5, 2))
+    with np.errstate(all="raise"):
+        y, cache = layer.forward(x)
+        dx, _ = layer.backward(np.ones_like(y), cache)
+    _, _, _, gates, _ = cache
+    assert np.isfinite(y).all() and np.isfinite(dx).all()
+    for block in (slice(0, 3), slice(3, 6), slice(9, 12)):  # i, f, o
+        assert gates[..., block].min() >= 0.0 and gates[..., block].max() <= 1.0
+
+
+@pytest.mark.parametrize("return_sequences", [True, False])
+@pytest.mark.parametrize("perturb", [None, [(0, "U", 7, 1e-3), (1, "W", 2, -1e-3),
+                                            (2, "b", 5, 1e-3), (2, "U", 30, 2e-3)]])
+def test_lstm_cache_free_forward_matches_cached(return_sequences, perturb):
+    layer = LSTM(2, 4, return_sequences=return_sequences)
+    layer.init_params(seed=10)
+    x = np.random.default_rng(24).normal(size=(3, 7, 2))
+    cached, cache = layer.forward(x, perturb)
+    free, no_cache = layer.forward(x, perturb, keep_cache=False)
+    assert cache is not None and no_cache is None
+    assert np.array_equal(free, cached)
+
+
+def test_lstm_recipe_predict_equals_cached_forward():
+    from pumpwatch.models import build_lstm
+    net = build_lstm(n=64, channels=3, seed=1).network
+    x = np.random.default_rng(25).normal(size=(6, 64, 3))
+    assert np.array_equal(net.predict(x, batch_size=512), net.forward(x)[0])
+
+
 # ---------------------------------------------------------------- loss
 
 def test_mse_loss_value_and_grad():

@@ -103,6 +103,24 @@ def test_shuffle_is_fisher_yates_over_below():
     assert items == want
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 576, 4320])
+def test_shuffle_equals_per_element_below(n):
+    # shuffle draws all n-1 uniforms at once; the spec draws one per swap
+    for seed in range(20):
+        rng = SplitMix64(seed)
+        items = list(range(n))
+        rng.shuffle(items)
+
+        ref_rng = SplitMix64(seed)
+        want = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = ref_rng.below(i + 1)
+            want[i], want[j] = want[j], want[i]
+        assert items == want
+        # both consumed the same n-1 outputs, so the streams continue alike
+        assert np.array_equal(rng.raw(2), ref_rng.raw(2))
+
+
 def test_permutation_is_valid_and_deterministic():
     p = SplitMix64(2).permutation(50)
     q = SplitMix64(2).permutation(50)
