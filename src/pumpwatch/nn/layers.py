@@ -34,6 +34,10 @@ from ..errors import ShapeError
 from ..rng import SplitMix64, derive_seed
 
 
+# Time steps of the LSTM input projection computed per matmul.
+PROJECTION_STEPS = 8
+
+
 def _glorot(rng: SplitMix64, shape, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     n = int(np.prod(shape))
@@ -123,16 +127,28 @@ class Tanh(Layer):
 
 
 class Conv1D(Layer):
-    """1-D convolution over time, kernel size 2, stride 1, same length.
+    """1-D convolution over time, stride 1, same length (kernel size 2 by default).
 
     Input (batch, time, in_channels), output (batch, time, filters).  The
     input is zero-padded on the right so output length equals input length.
+
+    The forward is one matmul of a column matrix (im2col; Chellapilla et
+    al. 2006) with the (kernel*in_channels, filters) weights.  The columns
+    go into one preallocated (batch, time, kernel*in_channels) buffer: the
+    block of offset o holds x shifted o steps earlier, and its last o rows
+    are the zero pad.  Splitting the matmul per offset, x@W0 + shift(x)@W1,
+    needs no columns at all, but it rounds differently (by up to 5e-15)
+    and was no faster in total, so the single matmul stays.  The backward
+    folds the column gradient back onto the input with one shifted
+    ``+=`` per offset, in the same order as the column blocks.
     """
 
     def __init__(self, in_channels, filters, kernel_size=2):
         self.in_channels = int(in_channels)
         self.filters = int(filters)
         self.kernel_size = int(kernel_size)
+        if self.kernel_size < 1:
+            raise ShapeError(f"Conv1D: kernel_size must be >= 1, got {kernel_size}")
         self.W = np.zeros((self.kernel_size, self.in_channels, self.filters))
         self.b = np.zeros(self.filters)
 
@@ -155,18 +171,22 @@ class Conv1D(Layer):
 
     def _columns(self, x):
         # (batch, time, kernel*channels): each time step sees offsets 0..k-1.
-        batch, time, _ = x.shape
-        k = self.kernel_size
-        xp = np.concatenate([x, np.zeros((batch, k - 1, self.in_channels))], axis=1)
-        return np.concatenate([xp[:, o:o + time, :] for o in range(k)], axis=2)
+        batch, time, ch = x.shape
+        xcol = np.empty((batch, time, self.kernel_size * ch))
+        for o in range(self.kernel_size):
+            block = xcol[:, :, o * ch:(o + 1) * ch]
+            n = max(time - o, 0)  # the kernel may be longer than the input
+            block[:, :n] = x[:, o:]
+            block[:, n:] = 0.0
+        return xcol
 
     def forward(self, x, perturb=None, keep_cache=True):
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ShapeError(f"{self.describe()}: expected (batch, time, "
                              f"{self.in_channels}), got {x.shape}")
         xcol = self._columns(x)
-        wmat = self.W.reshape(-1, self.filters)
-        y = xcol @ wmat + self.b
+        y = xcol @ self.W.reshape(-1, self.filters)
+        y += self.b
         if perturb:
             for row, pname, flat, delta in perturb:
                 if pname == "W":
@@ -178,22 +198,35 @@ class Conv1D(Layer):
 
     def backward(self, grad, cache):
         xcol = cache
-        batch, time, _ = xcol.shape
-        k = self.kernel_size
+        time = xcol.shape[1]
+        ch = self.in_channels
         g2 = grad.reshape(-1, self.filters)
-        gw = (xcol.reshape(-1, k * self.in_channels).T @ g2).reshape(self.W.shape)
+        gw = (xcol.reshape(-1, self.kernel_size * ch).T @ g2).reshape(self.W.shape)
         dxcol = grad @ self.W.reshape(-1, self.filters).T
-        dxp = np.zeros((batch, time + k - 1, self.in_channels))
-        for o in range(k):
-            dxp[:, o:o + time, :] += dxcol[:, :, o * self.in_channels:(o + 1) * self.in_channels]
-        return dxp[:, :time, :], {"W": gw, "b": g2.sum(axis=0)}
+        dx = dxcol[:, :, :ch].copy()
+        for o in range(1, min(self.kernel_size, time)):
+            dx[:, o:] += dxcol[:, :time - o, o * ch:(o + 1) * ch]
+        return dx, {"W": gw, "b": g2.sum(axis=0)}
 
 
 class MaxPool1D(Layer):
-    """Max over non-overlapping time pairs: (B, T, C) -> (B, T/2, C)."""
+    """Max over non-overlapping time windows: (B, T, C) -> (B, T/p, C).
+
+    The forward walks the p positions of each window with ``np.maximum``
+    and records, in a small integer array, the position whose value is
+    strictly greater (``>``) than the running maximum.  A tie therefore
+    keeps the earliest position, which receives the whole gradient.  A
+    NaN anywhere in a window makes its output NaN; where the NaN is not at
+    the first position, the gradient goes to an earlier position, not to
+    the NaN as under ``argmax``.  The backward writes each position's
+    share of the gradient, the gradient itself where that position won
+    and +0.0 elsewhere, into one buffer.
+    """
 
     def __init__(self, pool_size=2):
         self.pool_size = int(pool_size)
+        if self.pool_size < 1:
+            raise ShapeError(f"MaxPool1D: pool_size must be >= 1, got {pool_size}")
 
     def spec(self):
         return {"kind": "MaxPool1D", "pool_size": self.pool_size}
@@ -204,17 +237,26 @@ class MaxPool1D(Layer):
             raise ShapeError(f"MaxPool1D: time axis of {x.shape} not divisible by {p}")
         batch, time, ch = x.shape
         xr = x.reshape(batch, time // p, p, ch)
-        # Ties route the gradient to the earliest position, deterministically.
-        arg = xr.argmax(axis=2)
-        y = xr.max(axis=2)
+        y = xr[:, :, 0].copy()
+        arg = np.zeros(y.shape, dtype=np.min_scalar_type(p - 1))
+        for k in range(1, p):
+            xk = xr[:, :, k]
+            arg[xk > y] = k
+            np.maximum(y, xk, out=y)
         return y, (arg, x.shape)
 
     def backward(self, grad, cache):
         arg, shape = cache
         batch, time, ch = shape
         p = self.pool_size
-        dxr = np.zeros((batch, time // p, p, ch))
-        np.put_along_axis(dxr, arg[:, :, None, :], grad[:, :, None, :], axis=2)
+        dxr = np.empty((batch, time // p, p, ch))
+        # AND with an all-ones or all-zeros mask copies the gradient's bits
+        # or writes +0.0; multiplying by the mask would write -0.0 under a
+        # negative gradient and NaN under an infinite one.
+        bits = np.asarray(grad, dtype=np.float64).view(np.int64)
+        out = dxr.view(np.int64)
+        for k in range(p):
+            np.bitwise_and(bits, -(arg == k).view(np.int8), out=out[:, :, k])
         return dxr.reshape(shape), {}
 
 
@@ -223,6 +265,8 @@ class Upsample1D(Layer):
 
     def __init__(self, factor=2):
         self.factor = int(factor)
+        if self.factor < 1:
+            raise ShapeError(f"Upsample1D: factor must be >= 1, got {factor}")
 
     def spec(self):
         return {"kind": "Upsample1D", "factor": self.factor}
@@ -234,7 +278,13 @@ class Upsample1D(Layer):
 
     def backward(self, grad, cache):
         batch, time, ch = cache
-        return grad.reshape(batch, time, self.factor, ch).sum(axis=2), {}
+        g = grad.reshape(batch, time, self.factor, ch)
+        # Added in the order of the sum over the factor axis it replaces,
+        # which starts from +0.0 (hence "+ 0.0", not a copy).
+        dx = g[:, :, 0] + 0.0
+        for k in range(1, self.factor):
+            dx += g[:, :, k]
+        return dx, {}
 
 
 class RepeatLast(Layer):
@@ -351,22 +401,23 @@ class LSTM(Layer):
         scale, shift = self._scale, self._shift
         # Time-major inside the layer, so that every step's slice is contiguous.
         xt = np.ascontiguousarray(x.transpose(1, 0, 2))
-        pre = xt @ (self.W * scale)
-        pre += self.b * scale
+        Ws, bs, Us = self.W * scale, self.b * scale, self.U * scale
+        pre_perturbs = []  # (row, W row or None for b, column, scaled delta)
         u_perturbs = []  # (row, U row, U column, scaled delta)
         if perturb:
             for row, pname, flat, delta in perturb:
-                if pname == "W":
-                    r, c = divmod(flat, 4 * u)
-                    pre[:, row, c] += delta * scale[c] * xt[:, row, r]
-                elif pname == "b":
-                    pre[:, row, flat] += delta * scale[flat]
+                if pname == "b":
+                    pre_perturbs.append((row, None, flat, delta * scale[flat]))
                 else:
-                    r, c = divmod(flat, 4 * u)
-                    u_perturbs.append((row, r, c, delta * scale[c]))
+                    r, col = divmod(flat, 4 * u)
+                    (pre_perturbs if pname == "W" else u_perturbs).append(
+                        (row, r, col, delta * scale[col]))
         if u_perturbs:
             u_rows, u_src, u_cols, u_delta = (np.asarray(v) for v in zip(*u_perturbs))
-        Us = self.U * scale
+        # The input projection x_t @ W + b of PROJECTION_STEPS steps at a
+        # time, into one reused block; a whole chunk at once would be a
+        # (T, B, 4u) array.  Each step's rows are the same matmul either way.
+        pre = np.empty((min(PROJECTION_STEPS, time), batch, 4 * u))
 
         # Without a cache, one slot per buffer is reused by every step; the
         # output still needs all T steps of h when it is the sequence.
@@ -380,9 +431,16 @@ class LSTM(Layer):
         h = np.zeros((batch, u))
         c = np.zeros((batch, u))
         for t in range(time):
+            if t % PROJECTION_STEPS == 0:
+                xs = xt[t:t + PROJECTION_STEPS]
+                block = pre[:len(xs)]
+                np.matmul(xs, Ws, out=block)
+                block += bs
+                for row, r, col, d in pre_perturbs:
+                    block[:, row, col] += d if r is None else d * xs[:, row, r]
             a = gates[t % slots]
             np.matmul(h, Us, out=a)
-            a += pre[t]
+            a += pre[t % PROJECTION_STEPS]
             if u_perturbs:
                 np.add.at(a, (u_rows, u_cols), u_delta * h[u_rows, u_src])
             np.tanh(a, out=a)

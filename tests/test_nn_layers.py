@@ -6,12 +6,15 @@ run two forwards); the fast batched checker in nn.gradcheck is validated
 against the same layers elsewhere, so the two routes stay independent.
 """
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pumpwatch.errors import ShapeError, UsageError
+from pumpwatch.nn import layers
 from pumpwatch.nn import (Conv1D, Dense, Flatten, LSTM, MaxPool1D, Network,
                           RepeatLast, Reshape, Tanh, Upsample1D, mse_loss)
 
@@ -29,6 +32,20 @@ def _num_grad(loss_fn, arr, eps=1e-6):
         flat[i] = old
         gf[i] = (lp - lm) / (2.0 * eps)
     return g
+
+
+def _same_bits(a, b):
+    """Bit-for-bit equality: unlike np.array_equal, -0.0 differs from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _signed_ties(rng, shape):
+    """Small integers, so pools tie, with zeros of both signs."""
+    x = rng.integers(-2, 3, size=shape).astype(np.float64)
+    zeros = x == 0.0
+    x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    return x
 
 
 def _check_layer_grads(layer, x, seed=0, atol=1e-7):
@@ -163,7 +180,106 @@ def test_conv_kernel_3():
     _check_layer_grads(layer, rng.normal(size=(2, 5, 1)))
 
 
+def _conv_forward_ref(layer, x, perturb=None):
+    """Concatenate-built columns, as the layer computed them before."""
+    batch, time, _ = x.shape
+    k = layer.kernel_size
+    xp = np.concatenate([x, np.zeros((batch, k - 1, layer.in_channels))], axis=1)
+    xcol = np.concatenate([xp[:, o:o + time, :] for o in range(k)], axis=2)
+    y = xcol @ layer.W.reshape(-1, layer.filters) + layer.b
+    for row, pname, flat, delta in perturb or ():
+        if pname == "W":
+            col, f = divmod(flat, layer.filters)
+            y[row, :, f] += delta * xcol[row, :, col]
+        else:
+            y[row, :, flat] += delta
+    return y, xcol
+
+
+def _conv_backward_ref(layer, grad, xcol):
+    """Fold through a zero-padded buffer, as the layer did before."""
+    batch, time, _ = xcol.shape
+    k, ch = layer.kernel_size, layer.in_channels
+    g2 = grad.reshape(-1, layer.filters)
+    gw = (xcol.reshape(-1, k * ch).T @ g2).reshape(layer.W.shape)
+    dxcol = grad @ layer.W.reshape(-1, layer.filters).T
+    dxp = np.zeros((batch, time + k - 1, ch))
+    for o in range(k):
+        dxp[:, o:o + time, :] += dxcol[:, :, o * ch:(o + 1) * ch]
+    return dxp[:, :time, :], {"W": gw, "b": g2.sum(axis=0)}
+
+
+@pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+@pytest.mark.parametrize("time", [1, 3, 7])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_conv_matches_reference_bit_for_bit(kernel, time, perturbed):
+    rng = np.random.default_rng(30 + 3 * kernel + time)
+    layer = Conv1D(3, 4, kernel_size=kernel)
+    layer.init_params(seed=kernel)
+    x = _signed_ties(rng, (5, time, 3))
+    perturb = ([(0, "W", 5, 1e-3), (4, "b", 2, -2e-3), (4, "W", layer.W.size - 1, 3e-3)]
+               if perturbed else None)
+    y, cache = layer.forward(x, perturb)
+    want_y, want_cache = _conv_forward_ref(layer, x, perturb)
+    assert _same_bits(y, want_y) and _same_bits(cache, want_cache)
+    grad = rng.normal(size=y.shape)
+    dx, pgrads = layer.backward(grad, cache)
+    want_dx, want_pgrads = _conv_backward_ref(layer, grad, want_cache)
+    assert _same_bits(dx, want_dx)
+    assert pgrads.keys() == want_pgrads.keys()
+    assert all(_same_bits(pgrads[n], want_pgrads[n]) for n in pgrads)
+
+
+def test_conv_kernel_longer_than_input():
+    layer = Conv1D(1, 2, kernel_size=3)
+    layer.W[0, 0] = [2.0, -1.0]
+    layer.W[1:] = 7.0  # offsets past the end see only the zero pad
+    y, cache = layer.forward(np.array([[[3.0]]]))
+    assert np.array_equal(y, [[[6.0, -3.0]]])
+    dx, _ = layer.backward(np.array([[[1.0, 1.0]]]), cache)
+    assert np.array_equal(dx, [[[1.0]]])
+
+
 # ---------------------------------------------------------------- pooling
+
+def _maxpool_forward_ref(x, p):
+    batch, time, ch = x.shape
+    xr = x.reshape(batch, time // p, p, ch)
+    return xr.max(axis=2), xr.argmax(axis=2)
+
+
+def _maxpool_backward_ref(grad, arg, shape, p):
+    batch, time, ch = shape
+    dxr = np.zeros((batch, time // p, p, ch))
+    np.put_along_axis(dxr, arg[:, :, None, :], grad[:, :, None, :], axis=2)
+    return dxr.reshape(shape)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_maxpool_matches_reference_bit_for_bit(p):
+    rng = np.random.default_rng(40 + p)
+    x = _signed_ties(rng, (4, 6 * p, 5))
+    layer = MaxPool1D(p)
+    y, cache = layer.forward(x)
+    want_y, want_arg = _maxpool_forward_ref(x, p)
+    assert _same_bits(y, want_y)
+    grad = rng.normal(size=y.shape)
+    grad[grad > 1.0] = -0.0
+    grad[grad < -1.5] = -np.inf  # losing positions still get +0.0, not NaN
+    dx, _ = layer.backward(grad, cache)
+    assert _same_bits(dx, _maxpool_backward_ref(grad, want_arg, x.shape, p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_maxpool_nan_anywhere_in_a_pool_gives_nan(p):
+    rng = np.random.default_rng(50 + p)
+    for pos in range(p):
+        x = rng.normal(size=(2, 2 * p, 3))
+        x[1, p + pos, 2] = np.nan
+        y, _ = MaxPool1D(p).forward(x)
+        assert np.isnan(y[1, 1, 2])
+        assert np.isnan(y).sum() == 1
+
 
 def test_maxpool_hand_case():
     x = np.array([3.0, 1.0, 2.0, 5.0]).reshape(1, 4, 1)
@@ -208,6 +324,31 @@ def test_upsample_hand_case():
 def test_upsample_fd_gradient():
     rng = np.random.default_rng(7)
     _check_layer_grads(Upsample1D(2), rng.normal(size=(2, 3, 2)))
+
+
+@pytest.mark.parametrize("factor", [2, 3])
+def test_upsample_matches_reference_bit_for_bit(factor):
+    rng = np.random.default_rng(60 + factor)
+    x = rng.normal(size=(3, 4, 2))
+    layer = Upsample1D(factor)
+    y, cache = layer.forward(x)
+    assert _same_bits(y, np.repeat(x, factor, axis=1))
+    grad = rng.normal(size=y.shape)
+    grad[grad > 0.5] = -0.0
+    grad[0, :factor] = -0.0  # an all -0.0 sum is +0.0
+    dx, _ = layer.backward(grad, cache)
+    assert _same_bits(dx, grad.reshape(3, 4, factor, 2).sum(axis=2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Conv1D(1, 1, kernel_size=0),
+    lambda: MaxPool1D(0),
+    lambda: MaxPool1D(-2),
+    lambda: Upsample1D(0),
+], ids=["conv_kernel_0", "pool_0", "pool_minus_2", "upsample_0"])
+def test_invalid_layer_size_raises_shape_error(make):
+    with pytest.raises(ShapeError, match="must be >= 1"):
+        make()
 
 
 def test_pool_of_upsample_is_identity():
@@ -372,6 +513,34 @@ def test_lstm_cache_free_forward_matches_cached(return_sequences, perturb):
     free, no_cache = layer.forward(x, perturb, keep_cache=False)
     assert cache is not None and no_cache is None
     assert np.array_equal(free, cached)
+
+
+@pytest.mark.parametrize("keep_cache", [True, False])
+def test_lstm_projection_blocks_match_whole_chunk(monkeypatch, keep_cache):
+    # 19 steps are blocks of 8, 8 and 3; W and b tweaks land in each block
+    layer = LSTM(3, 4)
+    layer.init_params(seed=11)
+    x = np.random.default_rng(26).normal(size=(3, 19, 3))
+    perturb = [(0, "W", 9, 1e-3), (2, "b", 13, -1e-3), (1, "U", 4, 2e-3),
+               (2, "W", 47, 3e-3)]
+    blocked, _ = layer.forward(x, perturb, keep_cache)
+    monkeypatch.setattr(layers, "PROJECTION_STEPS", 19)
+    whole, _ = layer.forward(x, perturb, keep_cache)
+    assert _same_bits(blocked, whole)
+
+
+def test_lstm_recipe_predict_memory_is_capped():
+    # the whole-chunk input projection alone was 64 MiB of a 90.5 MiB peak
+    from pumpwatch.models import build_lstm
+    net = build_lstm(n=64, channels=3, seed=1).network
+    x = np.random.default_rng(27).normal(size=(768, 64, 3))
+    tracemalloc.start()
+    try:
+        net.predict(x, batch_size=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20
 
 
 def test_lstm_recipe_predict_equals_cached_forward():
@@ -552,3 +721,16 @@ def test_lstm_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "lstm.json"
     net.save(path)
     assert np.array_equal(Network.load(path).predict(x), want)
+
+
+@pytest.mark.parametrize("index, key", [(0, "kernel_size"), (2, "pool_size"),
+                                        (3, "factor")])
+def test_checkpoint_with_invalid_layer_size_raises_shape_error(tmp_path, index, key):
+    net = Network([Conv1D(2, 3), Tanh(), MaxPool1D(), Upsample1D()]).initialize(12)
+    path = tmp_path / "model.json"
+    net.save(path)
+    doc = json.loads(path.read_text())
+    doc["layers"][index][key] = 0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ShapeError, match=f"{key} must be >= 1"):
+        Network.load(path)
