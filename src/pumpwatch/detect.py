@@ -8,28 +8,24 @@ least half of its windows vote anomalous (ties count as anomalous, biasing
 toward recall).  A window whose score is not a number (NaN, e.g. from a
 non-finite input that reached scoring) is not at or below the threshold,
 so it votes anomalous instead of silently counting as healthy.
+
+Scores and votes work on a split's window errors as one (samples, windows)
+matrix, which is the per-window error vector reshaped: every sample of a
+split has the same number of windows.  A sample's score is the mean of its
+row.  A row ``mean`` adds in the same order as the one-sample mean did, so
+the scores, and the timelines that print them, are unchanged to the last
+bit; ``np.add.reduceat`` over the flat vector adds in another order and
+differs in the last bit on many rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from .errors import CalibrationError, ShapeError, UsageError
-
-
-@dataclass
-class AnomalyScore:
-    """Per-sample window scores plus the vote outcome filled in by classify."""
-
-    sample_id: int
-    window_errors: List[float]
-    sample_score: float = 0.0
-    votes_anomalous: int = 0
-    is_flagged: bool = False
 
 
 @dataclass
@@ -62,12 +58,23 @@ def window_error(input_window, output_window) -> float:
     return float(np.mean(d * d))
 
 
-def make_score(sample_id, window_errors) -> AnomalyScore:
-    errors = [float(e) for e in window_errors]
-    if not errors:
+def _error_matrix(errs) -> np.ndarray:
+    errs = np.asarray(errs, dtype=np.float64)
+    if errs.ndim not in (1, 2):
+        raise ShapeError(f"window errors must be (windows,) or (samples, windows), "
+                         f"got shape {errs.shape}")
+    if errs.shape[-1] == 0:
         raise UsageError("a sample needs at least one window error")
-    return AnomalyScore(sample_id=sample_id, window_errors=errors,
-                        sample_score=float(np.mean(errors)))
+    return errs
+
+
+def make_score(errs) -> np.ndarray:
+    """Sample scores: the mean window error of each sample.
+
+    ``errs`` is a (samples, windows) matrix, one row per sample, or a
+    single sample's (windows,) vector, which gives one score.
+    """
+    return _error_matrix(errs).mean(axis=-1)
 
 
 def calibrate_threshold(errors) -> Threshold:
@@ -83,18 +90,18 @@ def calibrate_threshold(errors) -> Threshold:
                      calibration_count=len(errors))
 
 
-def classify(score: AnomalyScore, th: Threshold) -> bool:
-    """Majority vote over windows; fills votes_anomalous and is_flagged.
+def classify(errs, th: Threshold):
+    """Majority vote over the windows of each sample: (votes, flagged).
 
-    A window votes anomalous unless its error is at or below the threshold,
-    so a NaN error votes anomalous.
+    Works on the last axis, so a (samples, windows) matrix gives one vote
+    count and flag per row and a single sample's (windows,) vector gives
+    scalars.  A window votes anomalous unless its error is at or below the
+    threshold, so a NaN error votes anomalous; a sample is flagged when at
+    least half of its windows vote.
     """
-    if not score.window_errors:
-        raise UsageError("cannot classify a sample with no window errors")
-    votes = sum(1 for e in score.window_errors if not e <= th.value)
-    score.votes_anomalous = votes
-    score.is_flagged = votes * 2 >= len(score.window_errors)
-    return score.is_flagged
+    errs = _error_matrix(errs)
+    votes = (~(errs <= th.value)).sum(axis=-1)
+    return votes, votes * 2 >= errs.shape[-1]
 
 
 def evaluate(predicted, truth) -> Metrics:

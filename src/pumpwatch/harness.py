@@ -305,8 +305,7 @@ def _load_normalizer(fs_dir: Path, fs: FeatureSetId) -> Normalizer:
         raise UsageError(f"missing normalizer artifact {path}")
     with open(path) as f:
         doc = json.load(f)
-    return Normalizer(mins=np.asarray(doc["mins"]), maxs=np.asarray(doc["maxs"]),
-                      feature_set=fs)
+    return Normalizer(mins=np.asarray(doc["mins"]), maxs=np.asarray(doc["maxs"]))
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> ExperimentReport:
@@ -349,8 +348,7 @@ def _pipeline(cfg, dataset, do_fit, do_eval):
     timelines = {}
     runtimes = {}
     for fs in cfg.feature_sets:
-        feats = {name: [assemble_features(s, fs) for s in part]
-                 for name, part in splits.items()}
+        feats = {name: assemble_features(part, fs) for name, part in splits.items()}
         fs_dir = outdir / "artifacts" / fs.value
         fs_dir.mkdir(parents=True, exist_ok=True)
         if do_fit:
@@ -359,13 +357,9 @@ def _pipeline(cfg, dataset, do_fit, do_eval):
                          "maxs": nz.maxs.tolist()}, fs_dir / "normalizer.json")
         else:
             nz = _load_normalizer(fs_dir, fs)
-        batches = {name: [window(apply_normalizer(nz, fm)) for fm in fms]
-                   for name, fms in feats.items()}
+        arrays = {name: window(apply_normalizer(nz, values))
+                  for name, values in feats.items()}
         channels = channel_count(fs)
-        arrays = {name: (np.concatenate([wb.to_array() for wb in wbs])
-                         if wbs else np.zeros((0, channels, WINDOW_SIZE)))
-                  for name, wbs in batches.items()}
-        counts = {name: [len(wb) for wb in wbs] for name, wbs in batches.items()}
 
         for det in cfg.detectors:
             started = time.perf_counter()
@@ -377,36 +371,40 @@ def _pipeline(cfg, dataset, do_fit, do_eval):
                 if do_fit:
                     scorer = _fit_detector(det, fs, arrays, channels, traincfg,
                                            combo_dir)
-                    th = detect.calibrate_threshold(scorer(arrays["threshold"]))
-                    _write_json({"value": th.value, "mean": th.mean, "std": th.std,
-                                 "calibration_count": th.calibration_count},
-                                combo_dir / "threshold.json")
                 else:
                     scorer = _load_scorer(combo_dir)
                     th = _load_threshold(combo_dir)
-                if not do_eval:
-                    runtimes[f"{det.kind.name}/{fs.name}"] = (
-                        time.perf_counter() - started)
-                    continue
-                scores = {name: scorer(arr) for name, arr in arrays.items()}
+                scores = {name: scorer(arrays[name])
+                          for name in (splits if do_eval else ["threshold"])}
+                if do_fit:
+                    th = detect.calibrate_threshold(scores["threshold"])
+                    _write_json({"value": th.value, "mean": th.mean, "std": th.std,
+                                 "calibration_count": th.calibration_count},
+                                combo_dir / "threshold.json")
             except PumpwatchError as e:
                 raise type(e)(f"{det.kind.name} on {fs.name}: {e}")
+            if not do_eval:
+                runtimes[f"{det.kind.name}/{fs.name}"] = time.perf_counter() - started
+                continue
 
             flags = {}
             entries = []
             for name, part in splits.items():
-                per_sample = (np.split(scores[name], np.cumsum(counts[name])[:-1])
-                              if counts[name] else [])
                 flags[name] = []
-                for sample, errs in zip(part, per_sample):
-                    score = detect.make_score(sample.sample_id, errs)
-                    detect.classify(score, th)
-                    flags[name].append(score.is_flagged)
+                if not len(part):
+                    continue
+                # One row of window errors per sample, in split order.
+                errs = scores[name].reshape(len(part), -1)
+                sample_scores = detect.make_score(errs).tolist()
+                for sample, row, score in zip(part, errs, sample_scores):
+                    # One vote per sample: the traced benchmark counts
+                    # detect.classify calls as classified samples.
+                    flagged = bool(detect.classify(row, th)[1])
+                    flags[name].append(flagged)
                     entries.append(TimelineEntry(
                         sample_id=sample.sample_id, timestamp=sample.timestamp,
-                        score=score.sample_score, threshold=th.value,
-                        flagged=score.is_flagged, truth=sample.is_anomaly,
-                        split=name))
+                        score=score, threshold=th.value, flagged=flagged,
+                        truth=sample.is_anomaly, split=name))
             entries.sort(key=lambda e: (e.timestamp, e.sample_id))
             metrics = detect.evaluate(flags["eval"],
                                       [s.is_anomaly for s in splits["eval"]])

@@ -7,15 +7,25 @@ and the FFT magnitude variant of each.  Raw sets have length 1024, FFT sets
 512.  Min-max normalization is fitted on train data only, one (min, max)
 pair per channel pooled over all train samples and positions.  Windowing
 cuts each channel into contiguous 64-point slices.
+
+Features are whole-split arrays of shape (samples, channels, length), in
+the channel order ``channel_names`` gives.  Every step works on the array
+at once; each output element is computed by the same floating-point
+operations the one-sample formula uses, so a split's features do not
+depend on which other samples share the array.  Windows of one split are
+one (samples * windows, channels, size) array, sample-major: rows
+``i * W .. (i + 1) * W - 1`` are sample i's windows in time order.  With
+the stride equal to the size that is one reshape of the feature array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, NamedTuple
+from typing import Iterable, List
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import SensorSample
 from .errors import ShapeError
@@ -63,23 +73,32 @@ FEATURE_SET_ORDER = (
 )
 
 
+# Raw sensor channels read for each base feature set, in channel order; the
+# vib-1D channel is computed from the three vibration axes.
+_BASE_CHANNELS = {
+    "VIB1D": ["vib1d"],
+    "AUDIO": ["audio"],
+    "VIB3D": ["vib_x", "vib_y", "vib_z"],
+    "VIB1D_AUDIO": ["vib1d", "audio"],
+}
+
+
+def _base(fs: FeatureSetId) -> str:
+    return fs.name[4:] if fs.is_fft else fs.name
+
+
+def channel_names(fs: FeatureSetId) -> List[str]:
+    """Channel names in the order of the feature array's channel axis."""
+    names = _BASE_CHANNELS[_base(fs)]
+    return ["fft_" + name for name in names] if fs.is_fft else list(names)
+
+
 def channel_count(fs: FeatureSetId) -> int:
-    return {"VIB1D": 1, "AUDIO": 1, "VIB3D": 3, "VIB1D_AUDIO": 2}[
-        fs.name[4:] if fs.is_fft else fs.name]
+    return len(_BASE_CHANNELS[_base(fs)])
 
 
 def feature_length(fs: FeatureSetId) -> int:
     return 512 if fs.is_fft else 1024
-
-
-@dataclass
-class FeatureMatrix:
-    """channels x length feature values for one sample."""
-
-    values: np.ndarray
-    channel_names: List[str]
-    feature_set: FeatureSetId
-    sample_id: int = -1
 
 
 @dataclass
@@ -88,27 +107,6 @@ class Normalizer:
 
     mins: np.ndarray
     maxs: np.ndarray
-    feature_set: FeatureSetId = None
-
-
-class Window(NamedTuple):
-    sample_id: int
-    window_index: int
-    values: np.ndarray  # channels x window_size
-
-
-@dataclass
-class WindowBatch:
-    windows: List[Window]
-    window_size: int = WINDOW_SIZE
-    stride: int = WINDOW_SIZE
-
-    def __len__(self):
-        return len(self.windows)
-
-    def to_array(self) -> np.ndarray:
-        """Stack window values into (count, channels, window_size)."""
-        return np.stack([w.values for w in self.windows])
 
 
 def vib_norm(vib_x, vib_y, vib_z) -> np.ndarray:
@@ -141,69 +139,91 @@ def fft_magnitude(series) -> np.ndarray:
     return np.abs(np.fft.rfft(x)[..., : n // 2]) / n
 
 
-def assemble_features(sample: SensorSample, fs: FeatureSetId) -> FeatureMatrix:
-    """Build the feature matrix for one sample and feature set."""
-    base = fs.name[4:] if fs.is_fft else fs.name
-    if base == "VIB1D":
-        chans = [("vib1d", vib_norm(sample.vib_x, sample.vib_y, sample.vib_z))]
-    elif base == "AUDIO":
-        chans = [("audio", np.asarray(sample.audio, dtype=np.float64))]
-    elif base == "VIB3D":
-        chans = [("vib_x", np.asarray(sample.vib_x, dtype=np.float64)),
-                 ("vib_y", np.asarray(sample.vib_y, dtype=np.float64)),
-                 ("vib_z", np.asarray(sample.vib_z, dtype=np.float64))]
-    else:
-        chans = [("vib1d", vib_norm(sample.vib_x, sample.vib_y, sample.vib_z)),
-                 ("audio", np.asarray(sample.audio, dtype=np.float64))]
-    if fs.is_fft:
-        chans = [("fft_" + name, fft_magnitude(values)) for name, values in chans]
-    names = [name for name, _ in chans]
-    values = np.stack([v for _, v in chans])
-    return FeatureMatrix(values=values, channel_names=names, feature_set=fs,
-                         sample_id=sample.sample_id)
+def _raw_channels(samples, names) -> dict:
+    """Each named sensor channel of every sample as one (samples, length) array.
+
+    Every channel of every sample must have the length of the first
+    sample's first channel; the first sample that breaks this is named.
+    """
+    first = samples[0]
+    want = np.shape(getattr(first, names[0]))
+    if len(want) != 1:
+        raise ShapeError(f"sample {first.sample_id}: channel {names[0]} has "
+                         f"shape {want}, expected one dimension")
+    raw = {name: np.empty((len(samples),) + want) for name in names}
+    for i, s in enumerate(samples):
+        for name in names:
+            values = np.asarray(getattr(s, name), dtype=np.float64)
+            if values.shape != want:
+                raise ShapeError(
+                    f"sample {s.sample_id}: channel {name} has shape "
+                    f"{values.shape}, sample {first.sample_id}'s {names[0]} "
+                    f"has {want}")
+            raw[name][i] = values
+    return raw
 
 
-def fit_normalizer(train: List[FeatureMatrix]) -> Normalizer:
+def assemble_features(samples: Iterable[SensorSample], fs: FeatureSetId) -> np.ndarray:
+    """Build the (samples, channels, length) feature array of one split."""
+    samples = list(samples)
+    if not samples:
+        return np.zeros((0, channel_count(fs), feature_length(fs)))
+    names = _BASE_CHANNELS[_base(fs)]
+    sensors = [name for name in names if name != "vib1d"]
+    if "vib1d" in names:
+        sensors += ["vib_x", "vib_y", "vib_z"]
+    raw = _raw_channels(samples, sensors)
+    if "vib1d" in names:
+        raw["vib1d"] = vib_norm(raw["vib_x"], raw["vib_y"], raw["vib_z"])
+    values = np.stack([raw[name] for name in names], axis=1)
+    return fft_magnitude(values) if fs.is_fft else values
+
+
+def _check_features(arr, what) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ShapeError(f"{what} needs a (samples, channels, length) array, "
+                         f"got shape {arr.shape}")
+    return arr
+
+
+def fit_normalizer(train) -> Normalizer:
     """Per-channel min/max pooled over all train samples and positions."""
-    if not train:
-        raise ShapeError("fit_normalizer needs at least one feature matrix")
-    shape = train[0].values.shape
-    for fm in train:
-        if fm.values.shape != shape:
-            raise ShapeError(f"inconsistent feature shapes: {fm.values.shape} vs {shape}")
-    stacked = np.stack([fm.values for fm in train])  # samples x channels x length
-    return Normalizer(mins=stacked.min(axis=(0, 2)), maxs=stacked.max(axis=(0, 2)),
-                      feature_set=train[0].feature_set)
+    train = _check_features(train, "fit_normalizer")
+    if len(train) == 0:
+        raise ShapeError("fit_normalizer needs at least one sample")
+    return Normalizer(mins=train.min(axis=(0, 2)), maxs=train.max(axis=(0, 2)))
 
 
-def apply_normalizer(nz: Normalizer, fm: FeatureMatrix) -> FeatureMatrix:
+def apply_normalizer(nz: Normalizer, features) -> np.ndarray:
     """Map each channel through (v - min) / (max - min).
 
     Values outside the train range extrapolate linearly (no clipping); a
     degenerate channel (max == min) maps to all zeros.
     """
-    if fm.values.shape[0] != nz.mins.shape[0]:
+    features = _check_features(features, "apply_normalizer")
+    if features.shape[1] != nz.mins.shape[0]:
         raise ShapeError(f"normalizer has {nz.mins.shape[0]} channels, "
-                         f"features have {fm.values.shape[0]}")
+                         f"features have {features.shape[1]}")
     span = nz.maxs - nz.mins
     safe = np.where(span > 0, span, 1.0)
-    out = (fm.values - nz.mins[:, None]) / safe[:, None]
-    out[span == 0, :] = 0.0
-    return FeatureMatrix(values=out, channel_names=fm.channel_names,
-                         feature_set=fm.feature_set, sample_id=fm.sample_id)
+    out = (features - nz.mins[:, None]) / safe[:, None]
+    out[:, span == 0, :] = 0.0
+    return out
 
 
-def window(fm: FeatureMatrix, size=WINDOW_SIZE, stride=WINDOW_SIZE) -> WindowBatch:
-    """Cut contiguous [i*stride, i*stride + size) slices; drop the remainder."""
-    length = fm.values.shape[1]
+def window(features, size=WINDOW_SIZE, stride=WINDOW_SIZE) -> np.ndarray:
+    """Cut contiguous [i*stride, i*stride + size) slices; drop the remainder.
+
+    Returns (samples * windows, channels, size), sample-major.
+    """
+    features = _check_features(features, "window")
+    n, channels, length = features.shape
     if length < size:
         raise ShapeError(f"feature length {length} shorter than window size {size}")
-    wins = []
-    index = 0
-    start = 0
-    while start + size <= length:
-        wins.append(Window(sample_id=fm.sample_id, window_index=index,
-                           values=fm.values[:, start:start + size].copy()))
-        index += 1
-        start += stride
-    return WindowBatch(windows=wins, window_size=size, stride=stride)
+    count = (length - size) // stride + 1
+    if stride == size:
+        cut = features[:, :, :count * size].reshape(n, channels, count, size)
+    else:
+        cut = sliding_window_view(features, size, axis=2)[:, :, ::stride]
+    return cut.transpose(0, 2, 1, 3).reshape(n * count, channels, size)

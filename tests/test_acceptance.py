@@ -120,10 +120,9 @@ def test_criterion_04_architecture_widths_and_parameter_count():
 
 
 def _votes(errors, threshold_value):
-    score = detect.make_score(0, errors)
-    detect.classify(score, detect.Threshold(value=threshold_value, mean=0.0,
-                                            std=0.0, calibration_count=2))
-    return score.votes_anomalous
+    votes, _ = detect.classify([errors], detect.Threshold(
+        value=threshold_value, mean=0.0, std=0.0, calibration_count=2))
+    return votes[0]
 
 
 def test_criterion_05_threshold_protocol():
@@ -180,10 +179,9 @@ def test_criterion_07_vibration_magnitude_is_rotation_invariant(tmp_path):
     assert len(ds) == 50
     rotated = _rotated_copy(ds, seed=55)
 
-    for a, b in zip(ds, rotated):
-        np.testing.assert_allclose(assemble_features(a, FeatureSetId.VIB1D).values,
-                                   assemble_features(b, FeatureSetId.VIB1D).values,
-                                   atol=1e-9, rtol=0)
+    for a, b in zip(assemble_features(ds, FeatureSetId.VIB1D),
+                    assemble_features(rotated, FeatureSetId.VIB1D)):
+        np.testing.assert_allclose(a, b, atol=1e-9, rtol=0)
 
     def flags(dataset, outdir):
         cfg = ExperimentConfig(

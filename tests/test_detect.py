@@ -9,9 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from pumpwatch.detect import (AnomalyScore, Metrics, Threshold,
-                              calibrate_threshold, classify, evaluate,
-                              make_score, window_error)
+from pumpwatch.detect import (Metrics, Threshold, calibrate_threshold,
+                              classify, evaluate, make_score, window_error)
 from pumpwatch.errors import CalibrationError, ShapeError, UsageError
 
 
@@ -37,12 +36,15 @@ def test_window_error_shape_mismatch():
 
 
 def test_make_score_takes_mean():
-    score = make_score(7, [1.0, 2.0, 6.0])
-    assert score.sample_id == 7
-    assert score.sample_score == 3.0
-    assert score.window_errors == [1.0, 2.0, 6.0]
+    scores = make_score([[1.0, 2.0, 6.0], [0.5, 0.5, 2.0]])
+    assert scores.tolist() == [3.0, 1.0]
+    assert make_score([1.0, 2.0, 6.0]) == 3.0
     with pytest.raises(UsageError):
-        make_score(0, [])
+        make_score([])
+    with pytest.raises(UsageError):
+        make_score(np.zeros((2, 0)))
+    with pytest.raises(ShapeError):
+        make_score(np.zeros((2, 3, 4)))
 
 
 # ---------------------------------------------------------------- threshold
@@ -81,81 +83,74 @@ def test_calibrate_uses_population_std():
 
 # ---------------------------------------------------------------- voting
 
-def _score_with(above, below, threshold=1.0):
-    errors = [threshold + 1.0] * above + [threshold - 0.5] * below
-    return make_score(0, errors)
+def _errors_with(above, below, threshold=1.0):
+    """A one-sample (1, windows) error matrix."""
+    return [[threshold + 1.0] * above + [threshold - 0.5] * below]
 
 
 def test_majority_vote_flags():
     th = Threshold(value=1.0, mean=1.0, std=0.0, calibration_count=2)
-    s = _score_with(9, 7)
-    assert classify(s, th) is True
-    assert s.votes_anomalous == 9 and s.is_flagged is True
+    votes, flagged = classify(_errors_with(9, 7), th)
+    assert flagged.tolist() == [True]
+    assert votes.tolist() == [9]
 
 
 def test_tie_vote_flags_anomalous():
     th = Threshold(value=1.0, mean=1.0, std=0.0, calibration_count=2)
-    s = _score_with(8, 8)
-    assert classify(s, th) is True
+    assert classify(_errors_with(8, 8), th)[1].tolist() == [True]
 
 
 def test_minority_vote_stays_healthy():
     th = Threshold(value=1.0, mean=1.0, std=0.0, calibration_count=2)
-    assert classify(_score_with(0, 16), th) is False
-    assert classify(_score_with(7, 9), th) is False
+    assert classify(_errors_with(0, 16), th)[1].tolist() == [False]
+    assert classify(_errors_with(7, 9), th)[1].tolist() == [False]
 
 
 def test_vote_is_strictly_above():
     th = Threshold(value=1.0, mean=1.0, std=0.0, calibration_count=2)
-    s = make_score(0, [1.0] * 16)  # exactly at the threshold
-    assert classify(s, th) is False
-    assert s.votes_anomalous == 0
+    votes, flagged = classify([[1.0] * 16], th)  # exactly at the threshold
+    assert flagged.tolist() == [False]
+    assert votes.tolist() == [0]
 
 
 def test_nan_window_errors_vote_anomalous():
     th = Threshold(value=1.0, mean=1.0, std=0.0, calibration_count=2)
     nan = float("nan")
-    s = make_score(0, [nan] * 16)
-    assert classify(s, th) is True
-    assert s.votes_anomalous == 16
+    votes, flagged = classify([[nan] * 16], th)
+    assert flagged.tolist() == [True]
+    assert votes.tolist() == [16]
     # NaN votes join the strictly-above votes; the majority rule is unchanged
-    s = make_score(0, [nan] * 4 + [2.0] * 4 + [0.5] * 8)
-    assert classify(s, th) is True
-    assert s.votes_anomalous == 8
-    s = make_score(0, [nan] * 7 + [0.5] * 9)
-    assert classify(s, th) is False
-    assert s.votes_anomalous == 7
+    votes, flagged = classify([[nan] * 4 + [2.0] * 4 + [0.5] * 8,
+                               [nan] * 7 + [0.5] * 9], th)
+    assert flagged.tolist() == [True, False]
+    assert votes.tolist() == [8, 7]
 
 
 def test_classify_rejects_empty():
     th = Threshold(value=1.0, mean=1.0, std=0.0, calibration_count=2)
     with pytest.raises(UsageError):
-        classify(AnomalyScore(sample_id=0, window_errors=[]), th)
+        classify(np.zeros((1, 0)), th)
 
 
 def test_votes_monotone_in_threshold():
     rng = np.random.default_rng(0)
     for _ in range(1000):
-        errors = rng.uniform(0, 2, size=rng.integers(1, 20)).tolist()
+        errors = rng.uniform(0, 2, size=(1, rng.integers(1, 20)))
         t1, t2 = sorted(rng.uniform(0, 2, size=2))
-        s1 = make_score(0, errors)
-        s2 = make_score(0, errors)
-        classify(s1, Threshold(t1, t1, 0.0, 2))
-        classify(s2, Threshold(t2, t2, 0.0, 2))
-        assert s2.votes_anomalous <= s1.votes_anomalous
+        v1, _ = classify(errors, Threshold(t1, t1, 0.0, 2))
+        v2, _ = classify(errors, Threshold(t2, t2, 0.0, 2))
+        assert v2[0] <= v1[0]
 
 
 def test_classify_permutation_invariant():
     rng = np.random.default_rng(1)
-    errors = rng.uniform(0, 2, size=16).tolist()
+    errors = rng.uniform(0, 2, size=16)
     th = Threshold(0.9, 0.9, 0.0, 2)
-    base = make_score(0, errors)
-    classify(base, th)
-    for _ in range(10):
-        shuffled = make_score(0, list(rng.permutation(errors)))
-        classify(shuffled, th)
-        assert shuffled.is_flagged == base.is_flagged
-        assert shuffled.votes_anomalous == base.votes_anomalous
+    base_votes, base_flagged = classify(errors[None], th)
+    shuffled = np.stack([rng.permutation(errors) for _ in range(10)])
+    votes, flagged = classify(shuffled, th)
+    assert (flagged == base_flagged[0]).all()
+    assert (votes == base_votes[0]).all()
 
 
 def test_healthy_gaussian_fixture_rarely_flags():
@@ -163,12 +158,45 @@ def test_healthy_gaussian_fixture_rarely_flags():
     # 16-window majority almost never fires on healthy samples
     rng = np.random.default_rng(2)
     th = calibrate_threshold(np.abs(rng.normal(1.0, 0.1, size=200)))
-    flagged = 0
-    for _ in range(100):
-        s = make_score(0, np.abs(rng.normal(1.0, 0.1, size=16)))
-        if classify(s, th):
-            flagged += 1
-    assert flagged / 100 < 0.5
+    _, flagged = classify(np.abs(rng.normal(1.0, 0.1, size=(100, 16))), th)
+    assert flagged.sum() / 100 < 0.5
+
+
+# ------------------------------------------- bit-for-bit against one sample
+# The per-sample score and vote that the (samples, windows) matrix calls
+# replaced, kept as references: sample scores must match bit for bit so
+# timelines stay byte-identical.
+
+def _ref_make_score(window_errors):
+    return float(np.mean([float(e) for e in window_errors]))
+
+
+def _ref_classify(window_errors, th):
+    votes = sum(1 for e in window_errors if not e <= th.value)
+    return votes, votes * 2 >= len(window_errors)
+
+
+@pytest.mark.parametrize("windows", [3, 5, 8, 16])
+def test_matrix_scores_and_votes_match_per_sample_code(windows):
+    rng = np.random.default_rng(windows)
+    # the harness reshapes one split's flat window-error vector
+    errs = rng.gamma(2.0, 1e-3, size=5000 * windows).reshape(5000, windows)
+    errs[rng.random(errs.shape) < 0.01] = np.nan
+    th = Threshold(value=float(errs[17, 1]), mean=0.0, std=0.0, calibration_count=2)
+    errs[rng.random(errs.shape) < 0.05] = th.value  # windows exactly at the threshold
+    assert (errs == th.value).sum() > 100
+
+    want_scores = np.array([_ref_make_score(row) for row in errs])
+    assert np.array_equal(make_score(errs), want_scores, equal_nan=True)
+    ref = [_ref_classify(row, th) for row in errs]
+    votes, flagged = classify(errs, th)
+    assert votes.tolist() == [v for v, _ in ref]
+    assert flagged.tolist() == [f for _, f in ref]
+    # one sample's row gives the same scalars as its row of the matrix
+    for i in (0, 17, 4999):
+        assert np.array_equal(make_score(errs[i]), want_scores[i], equal_nan=True)
+        one_votes, one_flag = classify(errs[i], th)
+        assert (int(one_votes), bool(one_flag)) == ref[i]
 
 
 # ---------------------------------------------------------------- metrics

@@ -1,5 +1,6 @@
 """Experiment pipeline tests: config schema, artifacts, reports, timelines."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from pumpwatch import detect, harness
-from pumpwatch.dataset import GeneratorConfig, SplitSpec
+from pumpwatch.dataset import (Dataset, GeneratorConfig, SplitSpec,
+                               generate_synthetic)
 from pumpwatch.dataset import split as split_dataset
-from pumpwatch.errors import ConfigError, UsageError
+from pumpwatch.errors import CalibrationError, ConfigError, ShapeError, UsageError
 from pumpwatch.harness import (DetectorKind, DetectorSpec, ExperimentConfig,
                                ExperimentReport, ReportRow, TimelineEntry,
                                config_from_dict, evaluate_experiment,
@@ -166,9 +168,7 @@ def test_threshold_matches_calibration_protocol(experiment, small_dataset, tag):
     parts = split_dataset(small_dataset, cfg.split, cfg.split_seed)
     fs = FeatureSetId.VIB1D
     nz = harness._load_normalizer(outdir / "artifacts" / fs.value, fs)
-    wins = np.concatenate(
-        [window(apply_normalizer(nz, assemble_features(s, fs))).to_array()
-         for s in parts[1]])
+    wins = window(apply_normalizer(nz, assemble_features(parts[1], fs)))
     combo = outdir / "artifacts" / f"{tag}_{fs.value}"
     scorer = harness._load_scorer(combo)
     want = detect.calibrate_threshold(scorer(wins))
@@ -254,6 +254,44 @@ def test_evaluate_without_artifacts_fails(tmp_path, tiny_dataset):
     cfg = _experiment_config(tmp_path / "empty")
     with pytest.raises(UsageError, match="normalizer"):
         evaluate_experiment(cfg, tiny_dataset)
+
+
+def _one_detector_config(outdir, gen, fs=FeatureSetId.VIB1D):
+    return ExperimentConfig(generate=gen, feature_sets=[fs],
+                            detectors=[DetectorSpec(kind=DetectorKind.BM_IQR)],
+                            output_dir=str(outdir))
+
+
+def test_channel_length_mismatch_names_the_sample(tmp_path, small_dataset):
+    # in-memory datasets skip validate_sample, so the split arrays check it
+    samples = list(small_dataset.samples)
+    bad = samples[11]
+    samples[11] = dataclasses.replace(bad, vib_z=bad.vib_z[:1000])
+    ds = Dataset(samples=samples, provenance=small_dataset.provenance)
+    cfg = _one_detector_config(tmp_path / "out", GeneratorConfig(
+        n_samples_per_condition=8, seed=7), FeatureSetId.VIB3D)
+    with pytest.raises(ShapeError, match=f"sample {bad.sample_id}: channel vib_z"):
+        run_experiment(cfg, ds)
+
+
+def test_empty_threshold_split_is_a_calibration_error(tmp_path):
+    # two healthy samples per condition: one trains, none is left to calibrate
+    gen = GeneratorConfig(n_samples_per_condition=2, anomaly_fraction=0.0, seed=1)
+    assert len(split_dataset(generate_synthetic(gen), SplitSpec(), 0)[1]) == 0
+    for entry in (run_experiment, train_experiment):
+        with pytest.raises(CalibrationError, match="BM_IQR on VIB1D"):
+            entry(_one_detector_config(tmp_path / entry.__name__, gen))
+
+
+def test_empty_eval_split_is_a_usage_error(tmp_path):
+    # three healthy samples per condition and no anomalies: eval gets none
+    gen = GeneratorConfig(n_samples_per_condition=3, anomaly_fraction=0.0, seed=1)
+    assert len(split_dataset(generate_synthetic(gen), SplitSpec(), 0)[2]) == 0
+    cfg = _one_detector_config(tmp_path / "out", gen)
+    with pytest.raises(UsageError, match="at least one pair"):
+        run_experiment(cfg)
+    with pytest.raises(UsageError, match="at least one pair"):
+        evaluate_experiment(cfg)
 
 
 def test_identical_configs_reproduce_output_bytes(tmp_path, small_dataset):

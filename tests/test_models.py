@@ -202,10 +202,9 @@ def test_trained_beats_untrained_on_heldout(small_dataset):
     from pumpwatch.signal import (FeatureSetId, apply_normalizer,
                                   assemble_features, fit_normalizer, window)
     healthy = [s for s in small_dataset if not s.is_anomaly]
-    mats = [assemble_features(s, FeatureSetId.AUDIO) for s in healthy]
+    mats = assemble_features(healthy, FeatureSetId.AUDIO)
     nz = fit_normalizer(mats[:15])
-    wins = np.concatenate([window(apply_normalizer(nz, fm)).to_array()
-                           for fm in mats])
+    wins = window(apply_normalizer(nz, mats))
     train_wins, held = wins[:200], wins[200:]
     assert len(held) >= 40
 
