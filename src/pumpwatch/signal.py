@@ -14,8 +14,8 @@ at once; each output element is computed by the same floating-point
 operations the one-sample formula uses, so a split's features do not
 depend on which other samples share the array.  Windows of one split are
 one (samples * windows, channels, size) array, sample-major: rows
-``i * W .. (i + 1) * W - 1`` are sample i's windows in time order.  With
-the stride equal to the size that is one reshape of the feature array.
+``i * W .. (i + 1) * W - 1`` are sample i's windows in time order.  They
+are cut from a strided view of the feature array and copied once.
 """
 
 from __future__ import annotations
@@ -180,7 +180,11 @@ def assemble_features(samples: Iterable[SensorSample], fs: FeatureSetId) -> np.n
 
 
 def _check_features(arr, what) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
+    try:
+        arr = np.asarray(arr, dtype=np.float64)
+    except ValueError as exc:
+        raise ShapeError(f"{what} needs a (samples, channels, length) array: "
+                         f"{exc}") from exc
     if arr.ndim != 3:
         raise ShapeError(f"{what} needs a (samples, channels, length) array, "
                          f"got shape {arr.shape}")
@@ -221,9 +225,5 @@ def window(features, size=WINDOW_SIZE, stride=WINDOW_SIZE) -> np.ndarray:
     n, channels, length = features.shape
     if length < size:
         raise ShapeError(f"feature length {length} shorter than window size {size}")
-    count = (length - size) // stride + 1
-    if stride == size:
-        cut = features[:, :, :count * size].reshape(n, channels, count, size)
-    else:
-        cut = sliding_window_view(features, size, axis=2)[:, :, ::stride]
-    return cut.transpose(0, 2, 1, 3).reshape(n * count, channels, size)
+    cut = sliding_window_view(features, size, axis=2)[:, :, ::stride]
+    return cut.transpose(0, 2, 1, 3).reshape(n * cut.shape[2], channels, size)

@@ -235,7 +235,12 @@ def test_normalizer_channel_mismatch():
         apply_normalizer(nz, _fm([[1.0, 2.0]]))
     with pytest.raises(ShapeError):
         fit_normalizer(np.zeros((0, 1, 2)))
-    # features of differing lengths cannot form one array; a flat one is refused
+    # features of differing lengths cannot form one array
+    with pytest.raises(ShapeError):
+        fit_normalizer([[[1.0]], [[1.0, 2.0]]])
+    with pytest.raises(ShapeError):
+        apply_normalizer(nz, [[[1.0]], [[1.0, 2.0]]])
+    # a flat array is refused
     with pytest.raises(ShapeError):
         fit_normalizer(np.array([1.0, 2.0]))
 
