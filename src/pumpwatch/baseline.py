@@ -145,7 +145,8 @@ def outlier_ratios(m: IqrModel, vectors) -> np.ndarray:
                          f"(count, {m.means.shape[0]})")
     lo = m.means - FENCE_MULTIPLIER * m.iqrs
     hi = m.means + FENCE_MULTIPLIER * m.iqrs
-    outside = (x < lo) | (x > hi)
+    # Written as "not inside" so that a NaN counts as an outlier.
+    outside = ~((x >= lo) & (x <= hi))
     return outside.mean(axis=1)
 
 

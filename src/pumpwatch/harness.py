@@ -344,11 +344,14 @@ def _pipeline(cfg, dataset, do_fit, do_eval):
     resolved = resolved_config_dict(cfg)
     _write_json(resolved, outdir / "config_resolved.json")
 
+    # Only the splits this entry point fits on or scores: train_experiment
+    # never touches the eval split.
+    used = list(splits) if do_eval else ["train", "threshold"]
     rows = []
     timelines = {}
     runtimes = {}
     for fs in cfg.feature_sets:
-        feats = {name: assemble_features(part, fs) for name, part in splits.items()}
+        feats = {name: assemble_features(splits[name], fs) for name in used}
         fs_dir = outdir / "artifacts" / fs.value
         fs_dir.mkdir(parents=True, exist_ok=True)
         if do_fit:

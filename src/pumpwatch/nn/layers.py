@@ -8,6 +8,11 @@ Conventions shared by every layer:
   ``backward(grad, cache)`` returns ``(grad_input, param_grads)`` where
   param_grads maps the layer's local tensor names to gradient arrays of
   matching shape.
+- A cache is single-use, like a framework's autograd graph that is freed
+  after backward: pass it to ``backward`` once and drop it.  ``backward``
+  may reuse the cache's buffers for its own results; LSTM writes each
+  step's gate gradients over that step's activated gates and raises
+  ``UsageError`` when handed a cache it has already consumed.
 - ``keep_cache=False`` is the cache-free forward used for scoring: the
   output is bit-identical, and the layer may skip keeping what only
   ``backward`` needs.  LSTM then reuses one slot of recurrent state for
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, UsageError
 from ..rng import SplitMix64, derive_seed
 
 
@@ -311,7 +316,9 @@ class Flatten(Layer):
     def forward(self, x, perturb=None, keep_cache=True):
         if x.ndim != 3:
             raise ShapeError(f"Flatten: expected 3-d input, got {x.shape}")
-        return x.reshape(x.shape[0], -1), x.shape
+        # Explicit column count: reshape(-1) cannot infer it for zero rows.
+        batch, time, ch = x.shape
+        return x.reshape(batch, time * ch), x.shape
 
     def backward(self, grad, cache):
         return grad.reshape(cache), {}
@@ -461,6 +468,9 @@ class LSTM(Layer):
 
     def backward(self, grad, cache):
         xt, hs, cs, gates, tcs = cache
+        if not gates.flags.writeable:
+            raise UsageError(f"{self.describe()}: this cache was already consumed "
+                             f"by a backward pass; run forward again")
         time, batch, _ = xt.shape
         u = self.units
         if self.return_sequences:
@@ -475,35 +485,42 @@ class LSTM(Layer):
                                  f"does not match output {(batch, u)}")
             dh = grad.copy()
 
-        dz_all = np.empty((time, batch, 4 * u))
+        # Each step's dz overwrites that step's activated gates, which are
+        # read for the last time in the same step, so ``gates`` ends up
+        # holding every dz and no (T, B, 4u) buffer is allocated.
         dc = np.zeros((batch, u))
         dtc = np.empty((batch, u))
+        swap = np.empty((batch, u))
         deriv = np.empty((batch, 4 * u))
         Ut = self.U.T
         for t in range(time - 1, -1, -1):
             if self.return_sequences:
                 dh += grad_t[t]
-            a, tc, dz = gates[t], tcs[t], dz_all[t]
+            a, tc = gates[t], tcs[t]
             # dL/dc_t = dh * o * (1 - tanh(c)^2) + dc, with o * tanh(c) = h.
             np.multiply(hs[t], tc, out=dtc)
             np.subtract(a[:, 3 * u:], dtc, out=dtc)
             dtc *= dh
             dtc += dc
-            np.multiply(dtc, a[:, 2 * u:3 * u], out=dz[:, :u])
-            if t:
-                np.multiply(dtc, cs[t - 1], out=dz[:, u:2 * u])
-            else:
-                dz[:, u:2 * u] = 0.0
-            np.multiply(dtc, a[:, :u], out=dz[:, 2 * u:3 * u])
-            np.multiply(dh, tc, out=dz[:, 3 * u:])
-            np.multiply(dtc, a[:, u:2 * u], out=dc)
             # Gate derivatives: a * (1 - a) for sigmoid, 1 - a^2 for tanh.
             np.subtract(self._is_sigmoid, a, out=deriv)
             deriv *= a
             deriv += self._is_tanh
-            dz *= deriv
-            np.matmul(dz, Ut, out=dh)
-
+            np.multiply(dtc, a[:, u:2 * u], out=dc)
+            # From here on a becomes dz: dz_i = dtc * g and dz_g = dtc * i
+            # swap through one (B, u) temporary.
+            np.multiply(dtc, a[:, :u], out=swap)
+            np.multiply(dtc, a[:, 2 * u:3 * u], out=a[:, :u])
+            a[:, 2 * u:3 * u] = swap
+            if t:
+                np.multiply(dtc, cs[t - 1], out=a[:, u:2 * u])
+            else:
+                a[:, u:2 * u] = 0.0
+            np.multiply(dh, tc, out=a[:, 3 * u:])
+            a *= deriv
+            np.matmul(a, Ut, out=dh)
+        dz_all = gates
+        dz_all.flags.writeable = False  # marks the cache as consumed
         dz2 = dz_all.reshape(-1, 4 * u)
         grads = {
             "W": xt.reshape(-1, self.in_dim).T @ dz2,

@@ -65,13 +65,20 @@ class Network:
         return x, caches
 
     def backward(self, loss_grad, caches):
-        """Propagate the loss gradient; returns {param_name: gradient}."""
+        """Propagate the loss gradient; returns {param_name: gradient}.
+
+        The caches are single-use: each layer's cache is popped off the
+        list as the walk reaches it, so its activations are freed as soon
+        as that layer's gradient is done, and the list is empty afterwards.
+        A second call on the same list raises ``UsageError``.
+        """
         if caches is None or len(caches) != len(self.layers):
-            raise UsageError("backward needs the caches from a matching forward call")
+            raise UsageError("backward needs the caches from a matching forward "
+                             "call; caches are used up by one backward")
         grads = {}
         grad = loss_grad
         for idx in range(len(self.layers) - 1, -1, -1):
-            grad, pgrads = self.layers[idx].backward(grad, caches[idx])
+            grad, pgrads = self.layers[idx].backward(grad, caches.pop())
             for local, g in pgrads.items():
                 grads[f"L{idx}.{local}"] = g
         return grads
@@ -79,7 +86,8 @@ class Network:
     def predict(self, x, batch_size=512):
         """Forward pass in chunks without retaining caches."""
         outs = []
-        for start in range(0, len(x), batch_size):
+        # An empty x still runs one forward, which gives the empty output.
+        for start in range(0, max(len(x), 1), batch_size):
             out, _ = self.forward(x[start:start + batch_size], keep_caches=False)
             outs.append(out)
         return np.concatenate(outs, axis=0)

@@ -50,6 +50,18 @@ class TrainResult:
     stopped_early: bool = False
 
 
+def _step(net: Network, opt: Adam, batch: np.ndarray) -> float:
+    """One forward, loss, backward and update; returns the batch loss.
+
+    Everything the step allocates is local here, so none of it is still
+    alive when the next step's forward runs.
+    """
+    out, caches = net.forward(batch)
+    loss, lgrad = mse_loss(out, batch)
+    opt.step(net.backward(lgrad, caches))
+    return loss
+
+
 def train(net: Network, inputs: np.ndarray, cfg: TrainConfig) -> TrainResult:
     """Train ``net`` to reconstruct ``inputs`` (first axis = window index)."""
     cfg.validate()
@@ -69,12 +81,8 @@ def train(net: Network, inputs: np.ndarray, cfg: TrainConfig) -> TrainResult:
         order = SplitMix64(derive_seed(cfg.seed, "shuffle", epoch)).permutation(len(train_x))
         total = 0.0
         for start in range(0, len(train_x), cfg.batch_size):
-            batch = train_x[order[start:start + cfg.batch_size]]
-            out, caches = net.forward(batch)
-            loss, lgrad = mse_loss(out, batch)
-            grads = net.backward(lgrad, caches)
-            opt.step(grads)
-            total += loss * len(batch)
+            rows = order[start:start + cfg.batch_size]
+            total += _step(net, opt, train_x[rows]) * len(rows)
         epoch_loss = total / len(train_x)
         if not np.isfinite(epoch_loss):
             raise TrainingError("training loss became non-finite", epoch=epoch)

@@ -207,6 +207,15 @@ def test_iqr_constant_dimension_collapses_fence():
     assert outlier_ratio(m, np.array([3.0001, 3.5])) == 0.5
 
 
+def test_nan_dimensions_count_as_outliers():
+    # NaN fails both fence comparisons; it must not read as "inside"
+    m = IqrModel(means=np.zeros(4), iqrs=np.ones(4), ratio_threshold=0.1)
+    ratios = outlier_ratios(m, np.array([np.full(4, np.nan),
+                                         [np.nan, 0.0, 0.0, 0.0]]))
+    assert np.array_equal(ratios, [1.0, 0.25])
+    assert iqr_classify(m, np.full(4, np.nan)) is True
+
+
 def test_outlier_ratio_is_a_fraction_of_dimensions():
     m = IqrModel(means=np.zeros(4), iqrs=np.ones(4), ratio_threshold=0.5)
     v = np.array([0.0, 0.0, 0.0, 9.0])  # one of four dims outside [-1.5, 1.5]

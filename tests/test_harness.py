@@ -274,6 +274,41 @@ def test_channel_length_mismatch_names_the_sample(tmp_path, small_dataset):
         run_experiment(cfg, ds)
 
 
+def test_bm_iqr_flags_every_nan_sample(tmp_path, small_dataset):
+    # in-memory datasets skip validate_sample, so NaN recordings reach scoring
+    nan = np.full(1024, np.nan)
+    poisoned = Dataset(
+        samples=[dataclasses.replace(s, audio=nan, vib_x=nan, vib_y=nan, vib_z=nan)
+                 if s.is_anomaly else s for s in small_dataset],
+        provenance=small_dataset.provenance)
+    cfg = _one_detector_config(tmp_path / "out", GeneratorConfig(
+        n_samples_per_condition=8, seed=7))
+    report = run_experiment(cfg, poisoned)
+    timeline = report.timelines[("BM_IQR", "VIB1D")]
+    nan_rows = [e for e in timeline if e.truth]
+    assert nan_rows and all(e.flagged and e.score == 1.0 for e in nan_rows)
+
+
+def test_train_experiment_builds_no_eval_features(tmp_path, small_dataset,
+                                                  monkeypatch):
+    cfg = _one_detector_config(tmp_path / "run", GeneratorConfig(
+        n_samples_per_condition=8, seed=7))
+    run_experiment(cfg, small_dataset)
+    built = []
+    real = harness.assemble_features
+    monkeypatch.setattr(harness, "assemble_features",
+                        lambda samples, fs: built.append(len(samples)) or real(samples, fs))
+    train_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / "train")),
+                     small_dataset)
+    train, threshold, _ = split_dataset(small_dataset, cfg.split, cfg.split_seed)
+    assert built == [len(train), len(threshold)]
+    artifacts = sorted((tmp_path / "run" / "artifacts").rglob("*.json"))
+    assert len(artifacts) == 3  # normalizer, iqr and threshold
+    for path in artifacts:
+        rel = path.relative_to(tmp_path / "run")
+        assert path.read_bytes() == (tmp_path / "train" / rel).read_bytes(), rel
+
+
 def test_empty_threshold_split_is_a_calibration_error(tmp_path):
     # two healthy samples per condition: one trains, none is left to calibrate
     gen = GeneratorConfig(n_samples_per_condition=2, anomaly_fraction=0.0, seed=1)

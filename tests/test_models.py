@@ -158,6 +158,18 @@ def test_reconstruct_preserves_window_shape(ae_builder, channels):
     assert np.isfinite(out).all()
 
 
+@pytest.mark.parametrize("ae_builder", [
+    lambda: build_dnn(192, 64, seed=6),
+    lambda: build_lstm(n=16, channels=3, seed=7),
+    lambda: build_cnn(channels=3, bottleneck=8, seed=8),
+], ids=["dnn", "lstm", "cnn"])
+def test_predict_on_no_windows_is_empty(ae_builder):
+    ae = ae_builder()
+    x = ae.to_inputs(np.empty((0, 3, 64)))
+    out = ae.network.predict(x)
+    assert out.shape == x.shape and out.dtype == np.float64
+
+
 def test_dnn_flattening_concatenates_channels():
     ae = Autoencoder(ArchitectureId.DNN, network=None, channels=2)
     w = np.arange(2 * 2 * 64, dtype=np.float64).reshape(2, 2, 64)

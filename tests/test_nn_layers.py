@@ -402,6 +402,15 @@ def test_reshape_shape_error():
         Reshape((4, 3)).forward(np.zeros((1, 11)))
 
 
+def test_flatten_empty_batch():
+    # reshape(0, -1) cannot infer the column count of zero rows
+    layer = Flatten()
+    y, cache = layer.forward(np.empty((0, 4, 3)))
+    assert y.shape == (0, 12)
+    dx, _ = layer.backward(np.empty((0, 12)), cache)
+    assert dx.shape == (0, 4, 3)
+
+
 # ---------------------------------------------------------------- LSTM
 
 def _lstm_ref(xs, W, U, b):
@@ -550,6 +559,81 @@ def test_lstm_recipe_predict_equals_cached_forward():
     assert np.array_equal(net.predict(x, batch_size=512), net.forward(x)[0])
 
 
+def _reference_lstm_backward(layer, grad, cache):
+    """LSTM.backward as it was before dz went into the gates buffer: a
+    separate (T, B, 4u) dz_all, the gates only read."""
+    xt, hs, cs, gates, tcs = cache
+    time, batch, _ = xt.shape
+    u = layer.units
+    if layer.return_sequences:
+        grad_t = grad.transpose(1, 0, 2)
+        dh = np.zeros((batch, u))
+    else:
+        dh = grad.copy()
+    dz_all = np.empty((time, batch, 4 * u))
+    dc = np.zeros((batch, u))
+    dtc = np.empty((batch, u))
+    deriv = np.empty((batch, 4 * u))
+    Ut = layer.U.T
+    for t in range(time - 1, -1, -1):
+        if layer.return_sequences:
+            dh += grad_t[t]
+        a, tc, dz = gates[t], tcs[t], dz_all[t]
+        np.multiply(hs[t], tc, out=dtc)
+        np.subtract(a[:, 3 * u:], dtc, out=dtc)
+        dtc *= dh
+        dtc += dc
+        np.multiply(dtc, a[:, 2 * u:3 * u], out=dz[:, :u])
+        if t:
+            np.multiply(dtc, cs[t - 1], out=dz[:, u:2 * u])
+        else:
+            dz[:, u:2 * u] = 0.0
+        np.multiply(dtc, a[:, :u], out=dz[:, 2 * u:3 * u])
+        np.multiply(dh, tc, out=dz[:, 3 * u:])
+        np.multiply(dtc, a[:, u:2 * u], out=dc)
+        np.subtract(layer._is_sigmoid, a, out=deriv)
+        deriv *= a
+        deriv += layer._is_tanh
+        dz *= deriv
+        np.matmul(dz, Ut, out=dh)
+    dz2 = dz_all.reshape(-1, 4 * u)
+    grads = {
+        "W": xt.reshape(-1, layer.in_dim).T @ dz2,
+        "U": hs[:-1].reshape(-1, u).T @ dz_all[1:].reshape(-1, 4 * u),
+        "b": dz2.sum(axis=0),
+    }
+    return (dz_all @ layer.W.T).transpose(1, 0, 2), grads
+
+
+@pytest.mark.parametrize("return_sequences", [True, False])
+@pytest.mark.parametrize("batch,time,in_dim,units", [(3, 1, 2, 4), (5, 7, 3, 6),
+                                                     (4, 19, 2, 5), (1, 9, 1, 1)])
+def test_lstm_in_place_backward_matches_reference(return_sequences, batch, time,
+                                                  in_dim, units):
+    layer = LSTM(in_dim, units, return_sequences=return_sequences)
+    layer.init_params(seed=batch * 100 + time)
+    rng = np.random.default_rng(time)
+    x = rng.normal(size=(batch, time, in_dim))
+    y, ref_cache = layer.forward(x)
+    grad = rng.normal(size=y.shape)
+    want_dx, want = _reference_lstm_backward(layer, grad, ref_cache)
+    _, cache = layer.forward(x)
+    dx, got = layer.backward(grad, cache)
+    assert _same_bits(dx, want_dx)
+    assert set(got) == set(want)
+    for name in want:
+        assert _same_bits(got[name], want[name]), name
+
+
+def test_lstm_backward_consumes_its_cache():
+    layer = LSTM(2, 3)
+    layer.init_params(seed=4)
+    y, cache = layer.forward(np.random.default_rng(5).normal(size=(2, 4, 2)))
+    layer.backward(np.ones_like(y), cache)
+    with pytest.raises(UsageError, match="already consumed"):
+        layer.backward(np.ones_like(y), cache)
+
+
 # ---------------------------------------------------------------- loss
 
 def test_mse_loss_value_and_grad():
@@ -620,6 +704,17 @@ def test_shape_error_names_layer():
     net = Network([Dense(4, 3), Tanh(), Dense(5, 2)])
     with pytest.raises(ShapeError, match="layer 2"):
         net.forward(np.zeros((1, 4)))
+
+
+def test_second_backward_on_the_same_caches_is_an_error():
+    for net, x in ((_small_net(), np.ones((2, 4))),
+                   (Network([LSTM(2, 3), Dense(3, 2)]).initialize(1), np.ones((2, 4, 2)))):
+        y, caches = net.forward(x)
+        _, lgrad = mse_loss(y, np.zeros_like(y))
+        net.backward(lgrad, caches)
+        assert caches == []
+        with pytest.raises(UsageError):
+            net.backward(lgrad, caches)
 
 
 def test_backward_requires_caches():
