@@ -3,6 +3,8 @@
 Both consume the same flattened 64-point windows as the autoencoders and
 plug into the identical calibrate-then-vote protocol from the detect
 module, so the comparison tables differ only in the scoring function.
+Like ``Autoencoder``, each fitted model scores windows with
+``window_errors`` and round-trips through ``save``/``load``.
 """
 
 from __future__ import annotations
@@ -11,25 +13,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import calibrate_threshold
 from .errors import ShapeError, UsageError
+from .util import JsonFields
 
 FENCE_MULTIPLIER = 1.5
 
 
+def flat_windows(windows):
+    """(count, channels, 64) windows -> (count, channels * 64) vectors."""
+    # Explicit column count: reshape(-1) cannot infer it for zero-length input.
+    return windows.reshape(len(windows), int(np.prod(windows.shape[1:])))
+
+
 @dataclass
-class PcaModel:
+class PcaModel(JsonFields):
     mean: np.ndarray
     components: np.ndarray  # (k, d), rows orthonormal
     k: int
     explained_variance_ratio: float
 
+    def window_errors(self, windows):
+        return pca_scores(self, flat_windows(windows))
+
 
 @dataclass
-class IqrModel:
+class IqrModel(JsonFields):
     means: np.ndarray
     iqrs: np.ndarray
-    ratio_threshold: float
+
+    def window_errors(self, windows):
+        return outlier_ratios(self, flat_windows(windows))
 
 
 def pca_fit(train, variance_target=0.95, k=None) -> PcaModel:
@@ -88,17 +101,8 @@ def _residuals(m: PcaModel, x):
     return xc - (xc @ m.components.T) @ m.components
 
 
-def pca_score(m: PcaModel, v) -> float:
-    """Mean squared residual of v against the component subspace."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != m.mean.shape:
-        raise ShapeError(f"vector has shape {v.shape}, model expects {m.mean.shape}")
-    r = _residuals(m, v[None])[0]
-    return float(np.mean(r * r))
-
-
 def pca_scores(m: PcaModel, vectors) -> np.ndarray:
-    """Batched pca_score over (count, dim)."""
+    """Mean squared residual of each (count, dim) vector off the subspace."""
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.mean.shape[0]:
         raise ShapeError(f"vectors have shape {x.shape}, model expects "
@@ -107,38 +111,25 @@ def pca_scores(m: PcaModel, vectors) -> np.ndarray:
     return (r * r).mean(axis=1)
 
 
-def iqr_fit(train, holdout=None) -> IqrModel:
-    """Per-dimension mean and interquartile range, plus a calibrated cut.
+def iqr_fit(train) -> IqrModel:
+    """Per-dimension mean and interquartile range of the train vectors.
 
     Quantiles use linear interpolation between order statistics.  The
-    sample-level decision needs a threshold on the per-window outlier
-    ratio; it is calibrated as mean + population std of the ratios on
-    ``holdout`` (healthy data not used for the fences), mirroring the
-    autoencoder protocol.  Without a holdout the train ratios are used.
+    vote threshold on the per-window outlier ratio is calibrated like any
+    other detector's, on the held-out healthy threshold split.
     """
     x = np.asarray(train, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"iqr_fit expects (count, dim) vectors, got {x.shape}")
     if len(x) < 4:
         raise UsageError(f"iqr_fit needs at least 4 vectors, got {len(x)}")
-    means = x.mean(axis=0)
     q1 = np.percentile(x, 25, axis=0)
     q3 = np.percentile(x, 75, axis=0)
-    model = IqrModel(means=means, iqrs=q3 - q1, ratio_threshold=0.0)
-    calib = np.asarray(holdout, dtype=np.float64) if holdout is not None else x
-    model.ratio_threshold = calibrate_threshold(outlier_ratios(model, calib)).value
-    return model
-
-
-def outlier_ratio(m: IqrModel, v) -> float:
-    """Fraction of dimensions falling outside mean +/- 1.5 * iqr."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != m.means.shape:
-        raise ShapeError(f"vector has shape {v.shape}, model expects {m.means.shape}")
-    return float(outlier_ratios(m, v[None])[0])
+    return IqrModel(means=x.mean(axis=0), iqrs=q3 - q1)
 
 
 def outlier_ratios(m: IqrModel, vectors) -> np.ndarray:
+    """Fraction of each vector's dimensions outside mean +/- 1.5 * iqr."""
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.means.shape[0]:
         raise ShapeError(f"vectors have shape {x.shape}, model expects "
@@ -148,7 +139,3 @@ def outlier_ratios(m: IqrModel, vectors) -> np.ndarray:
     # Written as "not inside" so that a NaN counts as an outlier.
     outside = ~((x >= lo) & (x <= hi))
     return outside.mean(axis=1)
-
-
-def iqr_classify(m: IqrModel, v) -> bool:
-    return outlier_ratio(m, v) > m.ratio_threshold

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, ShapeError, UsageError
+from .util import JsonFields
 
 
 @dataclass
-class Threshold:
+class Threshold(JsonFields):
     value: float
     mean: float
     std: float
@@ -46,16 +47,6 @@ class Metrics:
     fp: int
     tn: int
     fn: int
-
-
-def window_error(input_window, output_window) -> float:
-    """Mean over all elements of the squared difference."""
-    a = np.asarray(input_window, dtype=np.float64)
-    b = np.asarray(output_window, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"window shapes differ: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.mean(d * d))
 
 
 def _error_matrix(errs) -> np.ndarray:

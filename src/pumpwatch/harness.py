@@ -10,7 +10,10 @@ metrics are computed on the eval split.
 Three entry points share the pipeline: ``run_experiment`` does everything,
 ``train_experiment`` stops after writing the fitted artifacts, and
 ``evaluate_experiment`` loads previously written artifacts instead of
-fitting, then scores and reports.
+fitting, then scores and reports.  Every fitted model scores windows with
+``window_errors`` and round-trips through ``save``/``load``; the detector
+kind the config names, not the artifact file, decides which class loads
+it.  Only fitting creates directories under artifacts/.
 
 Everything written to the output directory is byte-deterministic for a
 given config except runtimes.json, which holds the measured wall-clock
@@ -22,7 +25,9 @@ Output layout:
     runtimes.json                   wall clock per combination (not deterministic)
     timeline_{detector}_{featureset}.csv
     artifacts/{featureset}/normalizer.json
-    artifacts/{detector}_{featureset}/model.json|pca.json|iqr.json, threshold.json
+    artifacts/{detector}_{featureset}/threshold.json plus model.json (DNN,
+        LSTM, CNN), pca.json (mean, components, k, explained_variance_ratio)
+        or iqr.json (means, iqrs)
 """
 
 from __future__ import annotations
@@ -43,12 +48,11 @@ from .dataset import (Dataset, GeneratorConfig, SplitSpec, generate_synthetic,
                       load_dataset, split)
 from .errors import ConfigError, PumpwatchError, UsageError
 from .models import ArchitectureId, Autoencoder, ModelSpec
-from .nn.network import Network
 from .nn.train import TrainConfig
 from .rng import derive_seed
-from .signal import (FEATURE_SET_ORDER, WINDOW_SIZE, FeatureSetId, Normalizer,
-                     apply_normalizer, assemble_features, channel_count,
-                     fit_normalizer, window)
+from .signal import (FEATURE_SET_ORDER, FeatureSetId, Normalizer, apply_normalizer,
+                     assemble_features, channel_count, fit_normalizer, window)
+from .util import write_json
 
 
 class DetectorKind(Enum):
@@ -63,8 +67,9 @@ class DetectorKind(Enum):
         return self.name.replace("_", " ")
 
     @property
-    def is_autoencoder(self):
-        return self in (DetectorKind.DNN, DetectorKind.LSTM, DetectorKind.CNN)
+    def artifact(self):
+        """File name of the fitted model in its combination directory."""
+        return {"bm_pca": "pca.json", "bm_iqr": "iqr.json"}.get(self.value, "model.json")
 
 
 @dataclass
@@ -74,10 +79,6 @@ class DetectorSpec:
     cnn_bottleneck: int = 32
     variance_target: float = 0.95
     train: Optional[TrainConfig] = None
-
-    @property
-    def file_tag(self):
-        return self.kind.value
 
 
 @dataclass
@@ -215,97 +216,30 @@ def resolved_config_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _write_json(obj, path):
-    with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
-
-
-def _fit_detector(det: DetectorSpec, fs: FeatureSetId, arrays: dict,
-                  channels: int, traincfg: TrainConfig, combo_dir: Path):
-    """Fit one detector on the train windows; returns a window scorer."""
-    combo_seed = derive_seed(traincfg.seed, det.kind.name, fs.name)
-    if det.kind.is_autoencoder:
-        arch = ArchitectureId[det.kind.name]
-        ae = ModelSpec(arch=arch, channels=channels, n=det.n,
-                       cnn_bottleneck=det.cnn_bottleneck).build(
-                           seed=derive_seed(combo_seed, "init"))
-        fitcfg = dataclasses.replace(traincfg, seed=derive_seed(combo_seed, "train"))
-        ae.fit(arrays["train"], fitcfg)
-        ae.network.save(combo_dir / "model.json")
-        return ae.window_errors
-
+def _fit_detector(det: DetectorSpec, fs: FeatureSetId, train: np.ndarray,
+                  traincfg: TrainConfig):
+    """Fit one detector on the train windows; returns the fitted model."""
     if det.kind is DetectorKind.BM_PCA:
-        model = baseline.pca_fit(_flat(arrays["train"]),
-                                 variance_target=det.variance_target)
-        _write_json({"mean": model.mean.tolist(),
-                     "components": model.components.tolist(),
-                     "k": model.k,
-                     "explained_variance_ratio": model.explained_variance_ratio},
-                    combo_dir / "pca.json")
-        return lambda arr: baseline.pca_scores(model, _flat(arr))
-
-    model = baseline.iqr_fit(_flat(arrays["train"]), holdout=_flat(arrays["threshold"]))
-    _write_json({"means": model.means.tolist(), "iqrs": model.iqrs.tolist(),
-                 "ratio_threshold": model.ratio_threshold},
-                combo_dir / "iqr.json")
-    return lambda arr: baseline.outlier_ratios(model, _flat(arr))
+        return baseline.pca_fit(baseline.flat_windows(train),
+                                variance_target=det.variance_target)
+    if det.kind is DetectorKind.BM_IQR:
+        return baseline.iqr_fit(baseline.flat_windows(train))
+    combo_seed = derive_seed(traincfg.seed, det.kind.name, fs.name)
+    ae = ModelSpec(arch=ArchitectureId[det.kind.name], channels=channel_count(fs),
+                   n=det.n, cnn_bottleneck=det.cnn_bottleneck).build(
+                       seed=derive_seed(combo_seed, "init"))
+    ae.fit(train, dataclasses.replace(traincfg, seed=derive_seed(combo_seed, "train")))
+    return ae
 
 
-def _flat(arr):
-    # Explicit column count: reshape(-1) cannot infer it for zero-length input.
-    return arr.reshape(len(arr), int(np.prod(arr.shape[1:])))
-
-
-def _load_scorer(combo_dir: Path):
-    """Rebuild the window scorer from whichever artifact file is present."""
-    model_path = combo_dir / "model.json"
-    if model_path.exists():
-        net = Network.load(model_path)
-        first = net.layers[0].spec()
-        if first["kind"] == "Dense":
-            ae = Autoencoder(ArchitectureId.DNN, net, first["in_dim"] // WINDOW_SIZE)
-        elif first["kind"] == "LSTM":
-            ae = Autoencoder(ArchitectureId.LSTM, net, first["in_dim"])
-        else:
-            ae = Autoencoder(ArchitectureId.CNN, net, first["in_channels"])
-        return ae.window_errors
-    pca_path = combo_dir / "pca.json"
-    if pca_path.exists():
-        with open(pca_path) as f:
-            doc = json.load(f)
-        model = baseline.PcaModel(mean=np.asarray(doc["mean"]),
-                                  components=np.asarray(doc["components"]),
-                                  k=doc["k"],
-                                  explained_variance_ratio=doc["explained_variance_ratio"])
-        return lambda arr: baseline.pca_scores(model, _flat(arr))
-    iqr_path = combo_dir / "iqr.json"
-    if iqr_path.exists():
-        with open(iqr_path) as f:
-            doc = json.load(f)
-        model = baseline.IqrModel(means=np.asarray(doc["means"]),
-                                  iqrs=np.asarray(doc["iqrs"]),
-                                  ratio_threshold=doc["ratio_threshold"])
-        return lambda arr: baseline.outlier_ratios(model, _flat(arr))
-    raise UsageError(f"no fitted model artifact in {combo_dir}")
-
-
-def _load_threshold(combo_dir: Path) -> detect.Threshold:
-    path = combo_dir / "threshold.json"
-    if not path.exists():
-        raise UsageError(f"missing threshold artifact {path}")
-    with open(path) as f:
-        doc = json.load(f)
-    return detect.Threshold(**doc)
-
-
-def _load_normalizer(fs_dir: Path, fs: FeatureSetId) -> Normalizer:
-    path = fs_dir / "normalizer.json"
-    if not path.exists():
-        raise UsageError(f"missing normalizer artifact {path}")
-    with open(path) as f:
-        doc = json.load(f)
-    return Normalizer(mins=np.asarray(doc["mins"]), maxs=np.asarray(doc["maxs"]))
+def _load_detector(kind: DetectorKind, fs: FeatureSetId, combo_dir: Path):
+    """The model ``_fit_detector`` saved in ``combo_dir``."""
+    path = combo_dir / kind.artifact
+    if kind is DetectorKind.BM_PCA:
+        return baseline.PcaModel.load(path)
+    if kind is DetectorKind.BM_IQR:
+        return baseline.IqrModel.load(path)
+    return Autoencoder.load(path, ArchitectureId[kind.name], channel_count(fs))
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> ExperimentReport:
@@ -340,9 +274,8 @@ def _pipeline(cfg, dataset, do_fit, do_eval):
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "artifacts").mkdir(exist_ok=True)
     resolved = resolved_config_dict(cfg)
-    _write_json(resolved, outdir / "config_resolved.json")
+    write_json(resolved, outdir / "config_resolved.json")
 
     # Only the splits this entry point fits on or scores: train_experiment
     # never touches the eval split.
@@ -353,37 +286,33 @@ def _pipeline(cfg, dataset, do_fit, do_eval):
     for fs in cfg.feature_sets:
         feats = {name: assemble_features(splits[name], fs) for name in used}
         fs_dir = outdir / "artifacts" / fs.value
-        fs_dir.mkdir(parents=True, exist_ok=True)
         if do_fit:
             nz = fit_normalizer(feats["train"])
-            _write_json({"feature_set": fs.name, "mins": nz.mins.tolist(),
-                         "maxs": nz.maxs.tolist()}, fs_dir / "normalizer.json")
+            fs_dir.mkdir(parents=True, exist_ok=True)
+            nz.save(fs_dir / "normalizer.json", feature_set=fs.name)
         else:
-            nz = _load_normalizer(fs_dir, fs)
+            nz = Normalizer.load(fs_dir / "normalizer.json")
         arrays = {name: window(apply_normalizer(nz, values))
                   for name, values in feats.items()}
-        channels = channel_count(fs)
 
         for det in cfg.detectors:
             started = time.perf_counter()
-            combo_tag = f"{det.file_tag}_{fs.value}"
+            combo_tag = f"{det.kind.value}_{fs.value}"
             combo_dir = outdir / "artifacts" / combo_tag
-            combo_dir.mkdir(parents=True, exist_ok=True)
-            traincfg = det.train or cfg.train
             try:
                 if do_fit:
-                    scorer = _fit_detector(det, fs, arrays, channels, traincfg,
-                                           combo_dir)
+                    model = _fit_detector(det, fs, arrays["train"],
+                                          det.train or cfg.train)
+                    combo_dir.mkdir(exist_ok=True)
+                    model.save(combo_dir / det.kind.artifact)
                 else:
-                    scorer = _load_scorer(combo_dir)
-                    th = _load_threshold(combo_dir)
-                scores = {name: scorer(arrays[name])
+                    model = _load_detector(det.kind, fs, combo_dir)
+                    th = detect.Threshold.load(combo_dir / "threshold.json")
+                scores = {name: model.window_errors(arrays[name])
                           for name in (splits if do_eval else ["threshold"])}
                 if do_fit:
                     th = detect.calibrate_threshold(scores["threshold"])
-                    _write_json({"value": th.value, "mean": th.mean, "std": th.std,
-                                 "calibration_count": th.calibration_count},
-                                combo_dir / "threshold.json")
+                    th.save(combo_dir / "threshold.json")
             except PumpwatchError as e:
                 raise type(e)(f"{det.kind.name} on {fs.name}: {e}")
             if not do_eval:
@@ -420,14 +349,14 @@ def _pipeline(cfg, dataset, do_fit, do_eval):
                                   threshold=th, runtime_seconds=runtime))
             _write_timeline_csv(entries, outdir / f"timeline_{combo_tag}.csv")
 
-    _write_json(runtimes, outdir / "runtimes.json")
+    write_json(runtimes, outdir / "runtimes.json")
     if not do_eval:
         return None
     report = ExperimentReport(rows=rows, timelines=timelines, config=resolved)
     text, csv_text = render_tables(report)
     (outdir / "report.txt").write_text(text)
     (outdir / "report.csv").write_text(csv_text)
-    _write_json(_report_dict(report), outdir / "report.json")
+    write_json(_report_dict(report), outdir / "report.json")
     return report
 
 

@@ -118,6 +118,14 @@ class Autoencoder:
     def param_count(self) -> int:
         return self.network.param_count()
 
+    def save(self, path):
+        self.network.save(path)
+
+    @classmethod
+    def load(cls, path, arch: ArchitectureId, channels: int) -> "Autoencoder":
+        """A saved network; the recipe and channel count are not in the file."""
+        return cls(arch, Network.load(path), channels)
+
 
 def _dnn_network(x, n) -> Network:
     widths = dnn_widths(x, n)

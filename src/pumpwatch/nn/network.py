@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import ShapeError, UsageError
 from ..rng import derive_seed
+from ..util import read_json
 from .layers import layer_from_spec
 
 _CHECKPOINT_TAG = "pumpwatch-model-v1"
@@ -130,14 +131,17 @@ class Network:
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            doc = json.load(f)
-        if doc.get("format") != _CHECKPOINT_TAG:
-            raise UsageError(f"not a model checkpoint: format tag {doc.get('format')!r}")
-        net = cls([layer_from_spec(s) for s in doc["layers"]])
-        values = {}
-        for name, entry in doc["params"].items():
-            raw = base64.b64decode(entry["data"])
-            values[name] = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
+        doc = read_json(path)
+        tag = doc.get("format") if isinstance(doc, dict) else None
+        if tag != _CHECKPOINT_TAG:
+            raise UsageError(f"{path} is not a model checkpoint: format tag {tag!r}")
+        try:
+            net = cls([layer_from_spec(s) for s in doc["layers"]])
+            values = {}
+            for name, entry in doc["params"].items():
+                raw = base64.b64decode(entry["data"])
+                values[name] = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            raise UsageError(f"{path} is a malformed model checkpoint: {e!r}")
         net.set_parameters(values)
         return net

@@ -29,6 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import SensorSample
 from .errors import ShapeError
+from .util import JsonFields
 
 WINDOW_SIZE = 64
 
@@ -102,7 +103,7 @@ def feature_length(fs: FeatureSetId) -> int:
 
 
 @dataclass
-class Normalizer:
+class Normalizer(JsonFields):
     """Per-channel (min, max) fitted on the train set."""
 
     mins: np.ndarray

@@ -6,15 +6,14 @@ eigenvectors, reconstructs the matrix) before being compared against the
 fitted model, so a shared bug with the implementation is ruled out.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from pumpwatch.baseline import (IqrModel, PcaModel, iqr_classify, iqr_fit,
-                                outlier_ratio, outlier_ratios, pca_fit,
-                                pca_score, pca_scores)
-from pumpwatch.detect import calibrate_threshold
+from pumpwatch.baseline import (IqrModel, PcaModel, iqr_fit, outlier_ratios,
+                                pca_fit, pca_scores)
 from pumpwatch.errors import ShapeError, UsageError
 
 
@@ -47,7 +46,7 @@ def test_hand_projection_score():
     assert m.k == 1
     assert np.allclose(m.mean, [0.0, 0.0])
     assert np.allclose(m.components, [[1.0, 0.0]], atol=1e-12)
-    assert abs(pca_score(m, np.array([3.0, 4.0])) - 8.0) < 1e-12
+    assert abs(pca_scores(m, np.array([[3.0, 4.0]]))[0] - 8.0) < 1e-12
 
 
 def _jacobi_eig(a, sweeps=100):
@@ -122,7 +121,7 @@ def test_degenerate_train_set():
     m = pca_fit(x)
     assert m.k == 1
     assert m.explained_variance_ratio == 1.0
-    assert pca_score(m, x[0]) < 1e-18
+    assert pca_scores(m, x[:1])[0] < 1e-18
 
 
 def test_score_zero_iff_in_span():
@@ -132,9 +131,9 @@ def test_score_zero_iff_in_span():
     x = coords @ basis.T
     m = pca_fit(x, k=2)
     in_span = rng.normal(size=2) @ basis.T
-    assert pca_score(m, in_span) < 1e-12
+    assert pca_scores(m, in_span[None])[0] < 1e-12
     off_span = in_span + 0.1 * np.linalg.qr(rng.normal(size=(4, 4)))[0][:, 3]
-    assert pca_score(m, off_span) > 1e-6
+    assert pca_scores(m, off_span[None])[0] > 1e-6
 
 
 def test_variance_target_selects_smallest_k():
@@ -172,7 +171,7 @@ def test_pca_errors():
         pca_fit(np.zeros((5, 3)), k=0)
     m = pca_fit(np.random.default_rng(7).normal(size=(10, 3)))
     with pytest.raises(ShapeError):
-        pca_score(m, np.zeros(4))
+        pca_scores(m, np.zeros((1, 4)))
     with pytest.raises(ShapeError):
         pca_scores(m, np.zeros((2, 4)))
 
@@ -185,41 +184,39 @@ def test_iqr_hand_quantiles():
     m = iqr_fit(train)
     assert np.allclose(m.means, [2.0])
     assert np.allclose(m.iqrs, [2.0])
-    assert outlier_ratio(m, np.array([6.0])) == 1.0
-    assert outlier_ratio(m, np.array([5.0])) == 0.0   # boundary is inside
-    assert outlier_ratio(m, np.array([-1.0])) == 0.0
-    assert outlier_ratio(m, np.array([-1.5])) == 1.0
+    assert outlier_ratios(m, np.array([[6.0]]))[0] == 1.0
+    assert outlier_ratios(m, np.array([[5.0]]))[0] == 0.0   # boundary is inside
+    assert outlier_ratios(m, np.array([[-1.0]]))[0] == 0.0
+    assert outlier_ratios(m, np.array([[-1.5]]))[0] == 1.0
 
 
 def test_iqr_mean_vector_is_healthy():
     rng = np.random.default_rng(8)
     train = rng.normal(size=(40, 6))
     m = iqr_fit(train)
-    assert outlier_ratio(m, m.means) == 0.0
-    assert iqr_classify(m, m.means) is False
+    assert outlier_ratios(m, m.means[None])[0] == 0.0
 
 
 def test_iqr_constant_dimension_collapses_fence():
     train = np.column_stack([np.full(8, 3.0), np.arange(8.0)])
     m = iqr_fit(train)
     assert m.iqrs[0] == 0.0
-    assert outlier_ratio(m, np.array([3.0, 3.5])) == 0.0
-    assert outlier_ratio(m, np.array([3.0001, 3.5])) == 0.5
+    assert outlier_ratios(m, np.array([[3.0, 3.5]]))[0] == 0.0
+    assert outlier_ratios(m, np.array([[3.0001, 3.5]]))[0] == 0.5
 
 
 def test_nan_dimensions_count_as_outliers():
     # NaN fails both fence comparisons; it must not read as "inside"
-    m = IqrModel(means=np.zeros(4), iqrs=np.ones(4), ratio_threshold=0.1)
+    m = IqrModel(means=np.zeros(4), iqrs=np.ones(4))
     ratios = outlier_ratios(m, np.array([np.full(4, np.nan),
                                          [np.nan, 0.0, 0.0, 0.0]]))
     assert np.array_equal(ratios, [1.0, 0.25])
-    assert iqr_classify(m, np.full(4, np.nan)) is True
 
 
 def test_outlier_ratio_is_a_fraction_of_dimensions():
-    m = IqrModel(means=np.zeros(4), iqrs=np.ones(4), ratio_threshold=0.5)
+    m = IqrModel(means=np.zeros(4), iqrs=np.ones(4))
     v = np.array([0.0, 0.0, 0.0, 9.0])  # one of four dims outside [-1.5, 1.5]
-    assert outlier_ratio(m, v) == 0.25
+    assert outlier_ratios(m, v[None])[0] == 0.25
     batch = outlier_ratios(m, np.stack([v, np.zeros(4)]))
     assert np.array_equal(batch, [0.25, 0.0])
 
@@ -238,24 +235,14 @@ def test_iqr_affine_invariance():
     assert np.array_equal(base_ratios, scaled_ratios)
 
 
-def test_iqr_threshold_calibration_protocol():
-    rng = np.random.default_rng(10)
-    train = rng.normal(size=(40, 8))
-    holdout = rng.normal(size=(25, 8))
-    m = iqr_fit(train, holdout=holdout)
-    fences_only = IqrModel(means=m.means, iqrs=m.iqrs, ratio_threshold=0.0)
-    want = calibrate_threshold(outlier_ratios(fences_only, holdout)).value
-    assert m.ratio_threshold == want
-    # without a holdout the train ratios calibrate the cut
-    m2 = iqr_fit(train)
-    want2 = calibrate_threshold(outlier_ratios(fences_only, train)).value
-    assert m2.ratio_threshold == want2
-
-
-def test_iqr_classify_is_strictly_above():
-    m = IqrModel(means=np.zeros(2), iqrs=np.ones(2), ratio_threshold=0.5)
-    assert iqr_classify(m, np.array([9.0, 0.0])) is False  # ratio 0.5, not >
-    assert iqr_classify(m, np.array([9.0, 9.0])) is True
+def test_iqr_model_file_with_a_ratio_threshold_still_loads(tmp_path):
+    # iqr.json files once carried a ratio threshold that nothing read back
+    path = tmp_path / "iqr.json"
+    path.write_text(json.dumps({"means": [0.0, 1.0], "iqrs": [2.0, 3.0],
+                                "ratio_threshold": 0.25}))
+    m = IqrModel.load(path)
+    assert np.array_equal(m.means, [0.0, 1.0])
+    assert np.array_equal(m.iqrs, [2.0, 3.0])
 
 
 def test_iqr_errors():
@@ -263,6 +250,6 @@ def test_iqr_errors():
         iqr_fit(np.zeros((3, 2)))
     m = iqr_fit(np.random.default_rng(11).normal(size=(10, 3)))
     with pytest.raises(ShapeError):
-        outlier_ratio(m, np.zeros(4))
+        outlier_ratios(m, np.zeros((1, 4)))
     with pytest.raises(ShapeError):
         outlier_ratios(m, np.zeros((2, 4)))

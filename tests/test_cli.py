@@ -116,3 +116,28 @@ def test_evaluate_before_train_exits_2(dataset_file, tmp_path, capsys):
 def test_report_without_source_exits_2(capsys):
     assert main(["report"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _drop_k(path):
+    doc = json.loads(path.read_text())
+    del doc["k"]
+    path.write_text(json.dumps(doc))
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:20])
+
+
+@pytest.mark.parametrize("artifact, corrupt", [
+    ("bm_pca_vib1d/pca.json", _drop_k),
+    ("bm_iqr_vib1d/threshold.json", _truncate),
+], ids=["pca-without-k", "truncated-threshold"])
+def test_malformed_artifact_exits_2_naming_the_file(dataset_file, tmp_path, capsys,
+                                                    artifact, corrupt):
+    outdir = tmp_path / "out"
+    assert main(_run_args(dataset_file, outdir, command="train")) == 0
+    corrupt(outdir / "artifacts" / artifact)
+    capsys.readouterr()
+    assert main(_run_args(dataset_file, outdir, command="evaluate")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and artifact in err

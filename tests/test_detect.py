@@ -10,30 +10,11 @@ import numpy as np
 import pytest
 
 from pumpwatch.detect import (Metrics, Threshold, calibrate_threshold,
-                              classify, evaluate, make_score, window_error)
+                              classify, evaluate, make_score)
 from pumpwatch.errors import CalibrationError, ShapeError, UsageError
 
 
 # ---------------------------------------------------------------- scoring
-
-def test_window_error_zero_at_identity():
-    w = np.arange(8.0).reshape(2, 4)
-    assert window_error(w, w.copy()) == 0.0
-
-
-def test_window_error_unit_case():
-    assert window_error(np.ones((3, 5)), np.zeros((3, 5))) == 1.0
-
-
-def test_window_error_hand_case():
-    got = window_error([[1.0, 2.0], [3.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]])
-    assert got == (0 + 1 + 4 + 9) / 4  # 3.5
-
-
-def test_window_error_shape_mismatch():
-    with pytest.raises(ShapeError):
-        window_error(np.zeros((2, 3)), np.zeros((3, 2)))
-
 
 def test_make_score_takes_mean():
     scores = make_score([[1.0, 2.0, 6.0], [0.5, 0.5, 2.0]])

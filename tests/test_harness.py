@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,9 @@ from pumpwatch.harness import (DetectorKind, DetectorSpec, ExperimentConfig,
                                resolved_config_dict, run_experiment,
                                train_experiment)
 from pumpwatch.nn.train import TrainConfig
-from pumpwatch.signal import (FEATURE_SET_ORDER, FeatureSetId,
-                              apply_normalizer, assemble_features, window)
+from pumpwatch.signal import (FEATURE_SET_ORDER, FeatureSetId, Normalizer,
+                              apply_normalizer, assemble_features,
+                              fit_normalizer, window)
 
 
 def _experiment_config(outdir):
@@ -167,12 +169,12 @@ def test_threshold_matches_calibration_protocol(experiment, small_dataset, tag):
     cfg, _, outdir = experiment
     parts = split_dataset(small_dataset, cfg.split, cfg.split_seed)
     fs = FeatureSetId.VIB1D
-    nz = harness._load_normalizer(outdir / "artifacts" / fs.value, fs)
+    nz = Normalizer.load(outdir / "artifacts" / fs.value / "normalizer.json")
     wins = window(apply_normalizer(nz, assemble_features(parts[1], fs)))
     combo = outdir / "artifacts" / f"{tag}_{fs.value}"
-    scorer = harness._load_scorer(combo)
-    want = detect.calibrate_threshold(scorer(wins))
-    got = harness._load_threshold(combo)
+    model = harness._load_detector(DetectorKind(tag), fs, combo)
+    want = detect.calibrate_threshold(model.window_errors(wins))
+    got = detect.Threshold.load(combo / "threshold.json")
     assert got == want
 
 
@@ -254,6 +256,42 @@ def test_evaluate_without_artifacts_fails(tmp_path, tiny_dataset):
     cfg = _experiment_config(tmp_path / "empty")
     with pytest.raises(UsageError, match="normalizer"):
         evaluate_experiment(cfg, tiny_dataset)
+    assert not (tmp_path / "empty" / "artifacts").exists()
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def test_evaluate_of_an_untrained_combination_leaves_the_tree_unchanged(
+        tmp_path, small_dataset):
+    cfg = _one_detector_config(tmp_path / "out", GeneratorConfig())
+    train_experiment(cfg, small_dataset)
+    shutil.rmtree(tmp_path / "out" / "artifacts" / "bm_iqr_vib1d")
+    before = _tree(tmp_path / "out")
+    with pytest.raises(UsageError, match="bm_iqr_vib1d"):
+        evaluate_experiment(cfg, small_dataset)
+    assert _tree(tmp_path / "out") == before
+
+
+@pytest.mark.parametrize("kind", list(DetectorKind))
+def test_every_detector_round_trips_through_save_and_load(tmp_path, small_dataset,
+                                                          kind):
+    # VIB3D has three channels: the loader must take them from the feature set
+    fs = FeatureSetId.VIB3D
+    det = DetectorSpec(kind=kind, n=16 if kind is DetectorKind.LSTM else 64,
+                       cnn_bottleneck=16)
+    train, threshold, _ = split_dataset(small_dataset, SplitSpec(), 0)
+    nz = fit_normalizer(assemble_features(train, fs))
+    train_w, threshold_w = (window(apply_normalizer(nz, assemble_features(part, fs)))
+                            for part in (train, threshold))
+    model = harness._fit_detector(det, fs, train_w, TrainConfig(max_epochs=1))
+    model.save(tmp_path / kind.artifact)
+    loaded = harness._load_detector(kind, fs, tmp_path)
+    assert type(loaded) is type(model)
+    assert np.array_equal(loaded.window_errors(threshold_w),
+                          model.window_errors(threshold_w))
 
 
 def _one_detector_config(outdir, gen, fs=FeatureSetId.VIB1D):

@@ -807,6 +807,19 @@ def test_checkpoint_rejects_wrong_tag(tmp_path):
         Network.load(path)
 
 
+@pytest.mark.parametrize("text", [
+    '{"format": "pumpwatch-model-v1", "lay',
+    '{"format": "pumpwatch-model-v1", "layers": []}',
+    '{"format": "pumpwatch-model-v1", "layers": [{"kind": "Tanh", "size": 3}], '
+    '"params": {}}',
+], ids=["truncated", "no-params", "bad-layer-spec"])
+def test_malformed_checkpoint_is_a_usage_error_naming_the_file(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(UsageError, match="model.json"):
+        Network.load(path)
+
+
 def test_lstm_checkpoint_roundtrip(tmp_path):
     net = Network([LSTM(2, 3), LSTM(3, 2, return_sequences=False),
                    RepeatLast(4), Dense(2, 2)])
