@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .errors import ConfigError, PumpwatchError
 from .harness import (ExperimentConfig, config_from_dict, evaluate_experiment,
                       load_report, parse_detector, parse_feature_sets,
                       render_tables, run_experiment, train_experiment)
+from .util import dataclass_from_dict, read_json
 
 
 def _add_generator_flags(p):
@@ -81,11 +81,9 @@ def _build_parser():
 
 
 def _generator_config(args) -> GeneratorConfig:
-    doc = {}
-    if args.gen_config:
-        with open(args.gen_config) as f:
-            doc = json.load(f)
-    cfg = GeneratorConfig(**doc)
+    doc = read_json(args.gen_config) if args.gen_config else {}
+    cfg = dataclass_from_dict(GeneratorConfig, doc,
+                              f"generator config {args.gen_config}")
     for flag in ("n_samples_per_condition", "anomaly_fraction", "base_amplitude",
                  "harmonic_count", "noise_std", "anomaly_harmonic_gain",
                  "anomaly_noise_gain", "seed"):
@@ -96,11 +94,7 @@ def _generator_config(args) -> GeneratorConfig:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    doc = {}
-    if args.config:
-        with open(args.config) as f:
-            doc = json.load(f)
-    cfg = config_from_dict(doc)
+    cfg = config_from_dict(read_json(args.config) if args.config else {})
     if args.dataset is not None:
         cfg.load = args.dataset
         cfg.generate = None

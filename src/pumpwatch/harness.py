@@ -33,7 +33,6 @@ Output layout:
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
@@ -52,7 +51,7 @@ from .nn.train import TrainConfig
 from .rng import derive_seed
 from .signal import (FEATURE_SET_ORDER, FeatureSetId, Normalizer, apply_normalizer,
                      assemble_features, channel_count, fit_normalizer, window)
-from .util import write_json
+from .util import dataclass_from_dict, read_json, write_json
 
 
 class DetectorKind(Enum):
@@ -147,19 +146,20 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     dsrc = doc.get("dataset", {})
     if "generate" in dsrc:
-        cfg.generate = GeneratorConfig(**dsrc["generate"])
+        cfg.generate = dataclass_from_dict(GeneratorConfig, dsrc["generate"],
+                                           "dataset.generate")
     if "load" in dsrc:
         cfg.load = dsrc["load"]
 
-    sp = dict(doc.get("split", {}))
-    cfg.split_seed = int(sp.pop("seed", 0))
-    cfg.split = SplitSpec(**sp)
+    sp = doc.get("split", {})
+    cfg.split = dataclass_from_dict(SplitSpec, sp, "split", skip=("seed",))
+    cfg.split_seed = int(sp.get("seed", 0))
 
     fsets = doc.get("feature_sets", "all")
     cfg.feature_sets = parse_feature_sets(fsets)
 
     cfg.detectors = [parse_detector(d) for d in doc.get("detectors", [])]
-    cfg.train = TrainConfig(**doc.get("train", {}))
+    cfg.train = dataclass_from_dict(TrainConfig, doc.get("train", {}), "train")
     cfg.output_dir = doc.get("output_dir", "out")
     return cfg
 
@@ -194,7 +194,8 @@ def parse_detector(value) -> DetectorSpec:
     if "variance_target" in value:
         spec.variance_target = float(value["variance_target"])
     if "train" in value and value["train"] is not None:
-        spec.train = TrainConfig(**value["train"])
+        spec.train = dataclass_from_dict(TrainConfig, value["train"],
+                                         f"train of detector {kind.name}")
     return spec
 
 
@@ -371,13 +372,15 @@ def _report_dict(report: ExperimentReport) -> dict:
 
 def load_report(path) -> ExperimentReport:
     """Rebuild a renderable report from a saved report.json."""
-    with open(path) as f:
-        doc = json.load(f)
-    rows = [ReportRow(detector=DetectorSpec(kind=DetectorKind[r["detector"]]),
-                      feature_set=FeatureSetId[r["feature_set"]],
-                      metrics=detect.Metrics(**r["metrics"]),
-                      threshold=detect.Threshold(**r["threshold"]))
-            for r in doc["rows"]]
+    doc = read_json(path)
+    try:
+        rows = [ReportRow(detector=DetectorSpec(kind=DetectorKind[r["detector"]]),
+                          feature_set=FeatureSetId[r["feature_set"]],
+                          metrics=detect.Metrics(**r["metrics"]),
+                          threshold=detect.Threshold(**r["threshold"]))
+                for r in doc["rows"]]
+    except (KeyError, TypeError) as e:
+        raise UsageError(f"{path} is a malformed report: {e!r}")
     return ExperimentReport(rows=rows, timelines={}, config=doc.get("config", {}))
 
 

@@ -7,14 +7,12 @@ per tensor as ||analytic - numeric||_2 / max(||analytic||_2, ||numeric||_2,
 1e-12) over the checked entries, and the result is the maximum across
 tensors.
 
-Evaluating two losses per entry one at a time would need millions of
-forward passes on the larger recipes, so all perturbed variants are packed
-into one batched forward: every batch row carries one single-entry
-perturbation, which each layer applies as an exact low-rank correction to
-its own pre-activations (see the layers module).  ``sample_per_tensor``
-optionally checks a seeded random subset of each tensor's entries instead
-of every entry, which is how the large recipes stay inside a test-time
-budget; omit it for a full sweep.
+Each loss is one cache-free forward of the network with that one entry
+shifted in place.  The entry gets its old value back afterwards, also when
+a forward raises, so the checked network ends bit-identical.
+``sample_per_tensor`` optionally checks a seeded random subset of each
+tensor's entries instead of every entry, which is how the large recipes
+stay inside a test-time budget; omit it for a full sweep.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ def _select_indices(size, sample_per_tensor, seed, name):
     return unique[:sample_per_tensor]
 
 
-def grad_check(model, x, epsilon=1e-5, sample_per_tensor=None, seed=0,
-               chunk_size=256) -> float:
+def grad_check(model, x, epsilon=1e-5, sample_per_tensor=None, seed=0) -> float:
     """Max relative gradient error of ``model`` at input window ``x``.
 
     ``model`` is a Network or anything exposing one as ``.network``; ``x``
@@ -59,39 +56,27 @@ def grad_check(model, x, epsilon=1e-5, sample_per_tensor=None, seed=0,
     _, lgrad = mse_loss(out, x1)
     analytic = net.backward(lgrad, caches)
 
-    # One entry per variant: (layer_idx, local_name, flat_index, sign).
-    variants = []
-    selected = {}
-    for name, arr in params.items():
-        idx = _select_indices(arr.size, sample_per_tensor, seed, name)
-        selected[name] = idx
-        layer_idx = int(name.split(".")[0][1:])
-        local = name.split(".")[1]
-        for flat in idx:
-            variants.append((layer_idx, local, int(flat), +1.0))
-            variants.append((layer_idx, local, int(flat), -1.0))
-
-    losses = np.empty(len(variants))
-    for start in range(0, len(variants), chunk_size):
-        chunk = variants[start:start + chunk_size]
-        xb = np.broadcast_to(x, (len(chunk),) + x.shape)
-        perturb = {}
-        for row, (layer_idx, local, flat, sign) in enumerate(chunk):
-            perturb.setdefault(layer_idx, []).append(
-                (row, local, flat, sign * epsilon))
-        out, _ = net.forward(xb, perturb=perturb, keep_caches=False)
-        diff = out - xb
-        losses[start:start + len(chunk)] = (diff * diff).reshape(len(chunk), -1).mean(axis=1)
-
-    numeric = (losses[0::2] - losses[1::2]) / (2.0 * epsilon)
+    def loss():
+        return mse_loss(net.forward(x1, keep_caches=False)[0], x1)[0]
 
     worst = 0.0
-    offset = 0
     for name, arr in params.items():
-        idx = selected[name]
+        idx = _select_indices(arr.size, sample_per_tensor, seed, name)
+        numeric = np.empty(len(idx))
+        for k, i in enumerate(idx):
+            # .flat writes through to arr; reshape(-1) would copy a
+            # non-contiguous parameter and leave it unshifted.
+            old = arr.flat[i]
+            try:
+                arr.flat[i] = old + epsilon
+                plus = loss()
+                arr.flat[i] = old - epsilon
+                minus = loss()
+            finally:
+                arr.flat[i] = old
+            numeric[k] = (plus - minus) / (2.0 * epsilon)
         a = analytic[name].ravel()[idx]
-        n = numeric[offset:offset + len(idx)]
-        offset += len(idx)
-        err = np.linalg.norm(a - n) / max(np.linalg.norm(a), np.linalg.norm(n), 1e-12)
+        err = np.linalg.norm(a - numeric) / max(np.linalg.norm(a),
+                                                np.linalg.norm(numeric), 1e-12)
         worst = max(worst, float(err))
     return worst

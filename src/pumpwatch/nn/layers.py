@@ -4,7 +4,7 @@ Conventions shared by every layer:
 
 - Arrays are batch-first: (batch, features) for flat data, (batch, time,
   features) for sequences.
-- ``forward(x, perturb=None, keep_cache=True)`` returns ``(y, cache)``;
+- ``forward(x, keep_cache=True)`` returns ``(y, cache)``;
   ``backward(grad, cache)`` returns ``(grad_input, param_grads)`` where
   param_grads maps the layer's local tensor names to gradient arrays of
   matching shape.
@@ -13,22 +13,17 @@ Conventions shared by every layer:
   may reuse the cache's buffers for its own results; LSTM writes each
   step's gate gradients over that step's activated gates and raises
   ``UsageError`` when handed a cache it has already consumed.
-- ``keep_cache=False`` is the cache-free forward used for scoring: the
-  output is bit-identical, and the layer may skip keeping what only
-  ``backward`` needs.  LSTM then reuses one slot of recurrent state for
-  every time step instead of storing each step's gates, cell state and
-  tanh(cell state), and returns ``None`` as its cache.  The other layers'
-  caches are the input or shape they hold anyway, so they ignore the flag.
-- Parameters live in ``self.params()`` as named float64 arrays; optimizers
-  update them in place.
-
-The ``perturb`` argument exists for the finite-difference gradient checker:
-it is a list of ``(row, tensor_name, flat_index, delta)`` tuples, and the
-layer must behave as if, for batch row ``row`` only, the named parameter
-entry were shifted by ``delta``.  Layers apply this as an exact low-rank
-correction to their pre-activations instead of copying weights, which lets
-the checker evaluate thousands of one-entry perturbations in one batched
-forward pass.
+- ``keep_cache=False`` is the cache-free forward used for scoring and by
+  the gradient checker: the output is bit-identical, and the layer may
+  skip keeping what only ``backward`` needs.  LSTM then reuses one slot of
+  recurrent state for every time step instead of storing each step's
+  gates, cell state and tanh(cell state), and returns ``None`` as its
+  cache.  The other layers' caches are the input or shape they hold
+  anyway, so they ignore the flag.
+- Parameters live in ``self.params()`` as named float64 arrays.  Optimizers
+  update them in place, and the gradient checker shifts one entry at a
+  time in place, so a layer derives nothing from them that outlives one
+  ``forward`` call.
 """
 
 from __future__ import annotations
@@ -64,7 +59,7 @@ class Layer:
     def describe(self):
         return type(self).__name__
 
-    def forward(self, x, perturb=None, keep_cache=True):
+    def forward(self, x, keep_cache=True):
         raise NotImplementedError
 
     def backward(self, grad, cache):
@@ -98,19 +93,11 @@ class Dense(Layer):
     def describe(self):
         return f"Dense({self.in_dim}->{self.units})"
 
-    def forward(self, x, perturb=None, keep_cache=True):
+    def forward(self, x, keep_cache=True):
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"{self.describe()}: expected last axis {self.in_dim}, "
                              f"got {x.shape}")
-        y = x @ self.W + self.b
-        if perturb:
-            for row, pname, flat, delta in perturb:
-                if pname == "W":
-                    r, c = divmod(flat, self.units)
-                    y[row, ..., c] += delta * x[row, ..., r]
-                else:
-                    y[row, ..., flat] += delta
-        return y, x
+        return x @ self.W + self.b, x
 
     def backward(self, grad, cache):
         x = cache
@@ -123,7 +110,7 @@ class Dense(Layer):
 
 
 class Tanh(Layer):
-    def forward(self, x, perturb=None, keep_cache=True):
+    def forward(self, x, keep_cache=True):
         y = np.tanh(x)
         return y, y
 
@@ -185,20 +172,13 @@ class Conv1D(Layer):
             block[:, n:] = 0.0
         return xcol
 
-    def forward(self, x, perturb=None, keep_cache=True):
+    def forward(self, x, keep_cache=True):
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ShapeError(f"{self.describe()}: expected (batch, time, "
                              f"{self.in_channels}), got {x.shape}")
         xcol = self._columns(x)
         y = xcol @ self.W.reshape(-1, self.filters)
         y += self.b
-        if perturb:
-            for row, pname, flat, delta in perturb:
-                if pname == "W":
-                    col, f = divmod(flat, self.filters)
-                    y[row, :, f] += delta * xcol[row, :, col]
-                else:
-                    y[row, :, flat] += delta
         return y, xcol
 
     def backward(self, grad, cache):
@@ -236,7 +216,7 @@ class MaxPool1D(Layer):
     def spec(self):
         return {"kind": "MaxPool1D", "pool_size": self.pool_size}
 
-    def forward(self, x, perturb=None, keep_cache=True):
+    def forward(self, x, keep_cache=True):
         p = self.pool_size
         if x.ndim != 3 or x.shape[1] % p != 0:
             raise ShapeError(f"MaxPool1D: time axis of {x.shape} not divisible by {p}")
@@ -276,7 +256,7 @@ class Upsample1D(Layer):
     def spec(self):
         return {"kind": "Upsample1D", "factor": self.factor}
 
-    def forward(self, x, perturb=None, keep_cache=True):
+    def forward(self, x, keep_cache=True):
         if x.ndim != 3:
             raise ShapeError(f"Upsample1D: expected 3-d input, got {x.shape}")
         return np.repeat(x, self.factor, axis=1), x.shape
@@ -301,7 +281,7 @@ class RepeatLast(Layer):
     def spec(self):
         return {"kind": "RepeatLast", "repeat_count": self.repeat_count}
 
-    def forward(self, x, perturb=None, keep_cache=True):
+    def forward(self, x, keep_cache=True):
         if x.ndim != 2:
             raise ShapeError(f"RepeatLast: expected 2-d input, got {x.shape}")
         return np.repeat(x[:, None, :], self.repeat_count, axis=1), None
@@ -313,7 +293,7 @@ class RepeatLast(Layer):
 class Flatten(Layer):
     """(B, T, C) -> (B, T*C)."""
 
-    def forward(self, x, perturb=None, keep_cache=True):
+    def forward(self, x, keep_cache=True):
         if x.ndim != 3:
             raise ShapeError(f"Flatten: expected 3-d input, got {x.shape}")
         # Explicit column count: reshape(-1) cannot infer it for zero rows.
@@ -333,7 +313,7 @@ class Reshape(Layer):
     def spec(self):
         return {"kind": "Reshape", "target_shape": list(self.target_shape)}
 
-    def forward(self, x, perturb=None, keep_cache=True):
+    def forward(self, x, keep_cache=True):
         want = int(np.prod(self.target_shape))
         if x.ndim != 2 or x.shape[1] != want:
             raise ShapeError(f"Reshape{self.target_shape}: expected (batch, {want}), "
@@ -399,7 +379,7 @@ class LSTM(Layer):
     def describe(self):
         return f"LSTM({self.in_dim}->{self.units})"
 
-    def forward(self, x, perturb=None, keep_cache=True):
+    def forward(self, x, keep_cache=True):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(f"{self.describe()}: expected (batch, time, "
                              f"{self.in_dim}), got {x.shape}")
@@ -409,18 +389,6 @@ class LSTM(Layer):
         # Time-major inside the layer, so that every step's slice is contiguous.
         xt = np.ascontiguousarray(x.transpose(1, 0, 2))
         Ws, bs, Us = self.W * scale, self.b * scale, self.U * scale
-        pre_perturbs = []  # (row, W row or None for b, column, scaled delta)
-        u_perturbs = []  # (row, U row, U column, scaled delta)
-        if perturb:
-            for row, pname, flat, delta in perturb:
-                if pname == "b":
-                    pre_perturbs.append((row, None, flat, delta * scale[flat]))
-                else:
-                    r, col = divmod(flat, 4 * u)
-                    (pre_perturbs if pname == "W" else u_perturbs).append(
-                        (row, r, col, delta * scale[col]))
-        if u_perturbs:
-            u_rows, u_src, u_cols, u_delta = (np.asarray(v) for v in zip(*u_perturbs))
         # The input projection x_t @ W + b of PROJECTION_STEPS steps at a
         # time, into one reused block; a whole chunk at once would be a
         # (T, B, 4u) array.  Each step's rows are the same matmul either way.
@@ -443,13 +411,9 @@ class LSTM(Layer):
                 block = pre[:len(xs)]
                 np.matmul(xs, Ws, out=block)
                 block += bs
-                for row, r, col, d in pre_perturbs:
-                    block[:, row, col] += d if r is None else d * xs[:, row, r]
             a = gates[t % slots]
             np.matmul(h, Us, out=a)
             a += pre[t % PROJECTION_STEPS]
-            if u_perturbs:
-                np.add.at(a, (u_rows, u_cols), u_delta * h[u_rows, u_src])
             np.tanh(a, out=a)
             a *= scale
             a += shift

@@ -40,25 +40,21 @@ class Network:
             layer.init_params(derive_seed(seed, "layer", idx))
         return self
 
-    def forward(self, x, perturb=None, keep_caches=True):
+    def forward(self, x, keep_caches=True):
         """Run all layers; returns (output, caches).
 
-        ``perturb`` maps layer index -> list of per-row parameter tweaks
-        (see layers module).  With keep_caches=False the forward is
-        cache-free: each layer is called with keep_cache=False, so LSTM
-        layers keep one reused slot of recurrent state instead of every
-        step's gates, and the caches that other layers return are dropped
-        as soon as the next layer has run.  ``caches`` is then None, large
-        inference or gradient-check batches stay memory-flat, and the
-        output is bit-identical to the cached forward.  ``predict``, the
-        autoencoder's ``reconstruct`` and the gradient checker use it.
+        With keep_caches=False the forward is cache-free: each layer is
+        called with keep_cache=False, so LSTM layers keep one reused slot of
+        recurrent state instead of every step's gates, and the caches that
+        other layers return are dropped as soon as the next layer has run.
+        ``caches`` is then None, large inference batches stay memory-flat,
+        and the output is bit-identical to the cached forward.  ``predict``,
+        the autoencoder's ``reconstruct`` and the gradient checker use it.
         """
         caches = [] if keep_caches else None
         for idx, layer in enumerate(self.layers):
-            entries = perturb.get(idx) if perturb else None
             try:
-                x, cache = layer.forward(np.asarray(x, dtype=np.float64), entries,
-                                         keep_caches)
+                x, cache = layer.forward(np.asarray(x, dtype=np.float64), keep_caches)
             except ShapeError as e:
                 raise ShapeError(f"layer {idx}: {e}")
             if keep_caches:

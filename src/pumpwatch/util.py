@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 
 
 def round_half_up(v):
@@ -31,9 +31,25 @@ def read_json(path):
         with open(path) as f:
             return json.load(f)
     except FileNotFoundError:
-        raise UsageError(f"missing artifact {path}")
+        raise UsageError(f"missing file {path}")
     except ValueError as e:
         raise UsageError(f"{path} is not valid JSON: {e}")
+
+
+def dataclass_from_dict(cls, doc, what, skip=()):
+    """``cls(**doc)`` for a JSON object ``doc``, leaving out the keys in ``skip``.
+
+    A value that is not an object, or a key that is neither a field of
+    ``cls`` nor in ``skip``, is a ConfigError naming ``what``.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    fields = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(doc) - fields - set(skip)
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {what}; "
+                          f"known keys are {sorted(fields | set(skip))}")
+    return cls(**{k: v for k, v in doc.items() if k in fields})
 
 
 class JsonFields:

@@ -141,3 +141,50 @@ def test_malformed_artifact_exits_2_naming_the_file(dataset_file, tmp_path, caps
     assert main(_run_args(dataset_file, outdir, command="evaluate")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and artifact in err
+
+
+def _bad_file(command, flag, text):
+    def build(tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        out = ["--out", str(tmp_path / "d.jsonl")] if command == "generate" else []
+        return [command, flag, str(path), *out]
+    return build
+
+
+_TRUNCATED = '{"train": {"max_epochs'
+_ROW = {"detector": "DNN", "feature_set": "VIB1D",
+        "metrics": {"precision": 1.0, "recall": 1.0, "f1": 1.0, "accuracy": 1.0,
+                    "tp": 1, "fp": 0, "tn": 1, "fn": 0},
+        "threshold": {"value": 1.0, "mean": 0.5, "std": 0.5, "calibration_count": 4}}
+
+
+@pytest.mark.parametrize("build, needle", [
+    (_bad_file("run", "--config", _TRUNCATED), "input.json"),
+    (_bad_file("generate", "--gen-config", _TRUNCATED), "input.json"),
+    (_bad_file("report", "--report", _TRUNCATED), "input.json"),
+    (_bad_file("run", "--config", '{"train": {"bogus": 1}}'), "bogus"),
+    (_bad_file("run", "--config", '{"split": {"bogus": 1}}'), "bogus"),
+    (_bad_file("run", "--config", '{"dataset": {"generate": {"bogus": 1}}}'), "bogus"),
+    (_bad_file("run", "--config",
+               '{"detectors": [{"kind": "DNN", "train": {"bogus": 1}}]}'), "bogus"),
+    (_bad_file("generate", "--gen-config", '{"bogus": 1}'), "bogus"),
+    (_bad_file("report", "--report",
+               json.dumps({"rows": [{**_ROW, "detector": "SVM"}]})), "input.json"),
+    (_bad_file("report", "--report",
+               json.dumps({"rows": [{"detector": "DNN"}]})), "input.json"),
+], ids=["truncated-config", "truncated-gen-config", "truncated-report",
+        "unknown-train-key", "unknown-split-key", "unknown-generate-key",
+        "unknown-detector-train-key", "unknown-gen-config-key",
+        "report-unknown-detector", "report-row-missing-key"])
+def test_bad_input_file_exits_2_naming_the_file_or_key(tmp_path, capsys, build, needle):
+    assert main(build(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+
+
+def test_missing_config_file_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "artifact" not in err

@@ -1,9 +1,9 @@
 """Layer engine tests: hand-computed forward oracles, naive central-difference
 gradient checks for every layer kind, purity, and checkpoint round-trips.
 
-The FD helper here is deliberately the slow textbook loop (perturb one scalar,
-run two forwards); the fast batched checker in nn.gradcheck is validated
-against the same layers elsewhere, so the two routes stay independent.
+The FD helper here is its own textbook loop (shift one scalar, run two
+forwards) over a single layer, so these checks do not lean on nn.gradcheck,
+which tests/test_gradcheck.py covers on whole networks.
 """
 
 import json
@@ -180,19 +180,13 @@ def test_conv_kernel_3():
     _check_layer_grads(layer, rng.normal(size=(2, 5, 1)))
 
 
-def _conv_forward_ref(layer, x, perturb=None):
+def _conv_forward_ref(layer, x):
     """Concatenate-built columns, as the layer computed them before."""
     batch, time, _ = x.shape
     k = layer.kernel_size
     xp = np.concatenate([x, np.zeros((batch, k - 1, layer.in_channels))], axis=1)
     xcol = np.concatenate([xp[:, o:o + time, :] for o in range(k)], axis=2)
     y = xcol @ layer.W.reshape(-1, layer.filters) + layer.b
-    for row, pname, flat, delta in perturb or ():
-        if pname == "W":
-            col, f = divmod(flat, layer.filters)
-            y[row, :, f] += delta * xcol[row, :, col]
-        else:
-            y[row, :, flat] += delta
     return y, xcol
 
 
@@ -211,16 +205,13 @@ def _conv_backward_ref(layer, grad, xcol):
 
 @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
 @pytest.mark.parametrize("time", [1, 3, 7])
-@pytest.mark.parametrize("perturbed", [False, True])
-def test_conv_matches_reference_bit_for_bit(kernel, time, perturbed):
+def test_conv_matches_reference_bit_for_bit(kernel, time):
     rng = np.random.default_rng(30 + 3 * kernel + time)
     layer = Conv1D(3, 4, kernel_size=kernel)
     layer.init_params(seed=kernel)
     x = _signed_ties(rng, (5, time, 3))
-    perturb = ([(0, "W", 5, 1e-3), (4, "b", 2, -2e-3), (4, "W", layer.W.size - 1, 3e-3)]
-               if perturbed else None)
-    y, cache = layer.forward(x, perturb)
-    want_y, want_cache = _conv_forward_ref(layer, x, perturb)
+    y, cache = layer.forward(x)
+    want_y, want_cache = _conv_forward_ref(layer, x)
     assert _same_bits(y, want_y) and _same_bits(cache, want_cache)
     grad = rng.normal(size=y.shape)
     dx, pgrads = layer.backward(grad, cache)
@@ -512,29 +503,25 @@ def test_lstm_extreme_preactivations_stay_finite():
 
 
 @pytest.mark.parametrize("return_sequences", [True, False])
-@pytest.mark.parametrize("perturb", [None, [(0, "U", 7, 1e-3), (1, "W", 2, -1e-3),
-                                            (2, "b", 5, 1e-3), (2, "U", 30, 2e-3)]])
-def test_lstm_cache_free_forward_matches_cached(return_sequences, perturb):
+def test_lstm_cache_free_forward_matches_cached(return_sequences):
     layer = LSTM(2, 4, return_sequences=return_sequences)
     layer.init_params(seed=10)
     x = np.random.default_rng(24).normal(size=(3, 7, 2))
-    cached, cache = layer.forward(x, perturb)
-    free, no_cache = layer.forward(x, perturb, keep_cache=False)
+    cached, cache = layer.forward(x)
+    free, no_cache = layer.forward(x, keep_cache=False)
     assert cache is not None and no_cache is None
     assert np.array_equal(free, cached)
 
 
 @pytest.mark.parametrize("keep_cache", [True, False])
 def test_lstm_projection_blocks_match_whole_chunk(monkeypatch, keep_cache):
-    # 19 steps are blocks of 8, 8 and 3; W and b tweaks land in each block
+    # 19 steps are blocks of 8, 8 and 3
     layer = LSTM(3, 4)
     layer.init_params(seed=11)
     x = np.random.default_rng(26).normal(size=(3, 19, 3))
-    perturb = [(0, "W", 9, 1e-3), (2, "b", 13, -1e-3), (1, "U", 4, 2e-3),
-               (2, "W", 47, 3e-3)]
-    blocked, _ = layer.forward(x, perturb, keep_cache)
+    blocked, _ = layer.forward(x, keep_cache=keep_cache)
     monkeypatch.setattr(layers, "PROJECTION_STEPS", 19)
-    whole, _ = layer.forward(x, perturb, keep_cache)
+    whole, _ = layer.forward(x, keep_cache=keep_cache)
     assert _same_bits(blocked, whole)
 
 

@@ -175,11 +175,10 @@ def test_step_activations_are_gone_before_the_next_forward():
     refs = []  # weak references to every output and cached array so far
     alive = []  # how many of them live when a training step's forward starts
     for idx, layer in enumerate(net.layers):
-        def spy(x, perturb=None, keep_cache=True, _forward=layer.forward,
-                _first=idx == 0):
+        def spy(x, keep_cache=True, _forward=layer.forward, _first=idx == 0):
             if keep_cache and _first:
                 alive.append(sum(r() is not None for r in refs))
-            y, cache = _forward(x, perturb, keep_cache)
+            y, cache = _forward(x, keep_cache)
             if keep_cache:
                 parts = cache if isinstance(cache, tuple) else (cache,)
                 refs.extend(weakref.ref(a) for a in (y, *parts)
