@@ -19,23 +19,35 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .dataset import GeneratorConfig, generate_synthetic, save_dataset
+from .dataset import GeneratorConfig, SplitSpec, generate_synthetic, save_dataset
 from .errors import ConfigError, PumpwatchError
 from .harness import (ExperimentConfig, config_from_dict, evaluate_experiment,
                       load_report, parse_detector, parse_feature_sets,
                       render_tables, run_experiment, train_experiment)
-from .util import dataclass_from_dict, read_json
+from .nn.train import TrainConfig
+from .util import dataclass_from_dict, field_types, read_json
 
 
-def _add_generator_flags(p):
-    p.add_argument("--n-samples-per-condition", type=int)
-    p.add_argument("--anomaly-fraction", type=float)
-    p.add_argument("--base-amplitude", type=float)
-    p.add_argument("--harmonic-count", type=int)
-    p.add_argument("--noise-std", type=float)
-    p.add_argument("--anomaly-harmonic-gain", type=float)
-    p.add_argument("--anomaly-noise-gain", type=float)
-    p.add_argument("--seed", type=int)
+# Flag names that are not their field's: --seed is the generator's.
+_RENAMED = {(TrainConfig, "seed"): "train_seed"}
+
+
+def _dest(cls, name):
+    return _RENAMED.get((cls, name), name)
+
+
+def _add_field_flags(p, cls):
+    """One flag per field of the config dataclass ``cls``, typed by its annotation."""
+    for f in dataclasses.fields(cls):
+        p.add_argument("--" + _dest(cls, f.name).replace("_", "-"),
+                       type=field_types(cls)[f.name])
+
+
+def _with_flags(obj, args):
+    """``obj`` with each field whose flag was given set to the flag's value."""
+    given = {f.name: getattr(args, _dest(type(obj), f.name))
+             for f in dataclasses.fields(obj)}
+    return dataclasses.replace(obj, **{k: v for k, v in given.items() if v is not None})
 
 
 def _add_experiment_flags(p):
@@ -47,14 +59,8 @@ def _add_experiment_flags(p):
     p.add_argument("--detectors",
                    help="comma-separated detector names (DNN,LSTM,CNN,BM_PCA,BM_IQR)")
     p.add_argument("--split-seed", type=int)
-    p.add_argument("--train-frac", type=float)
-    p.add_argument("--threshold-frac", type=float)
-    p.add_argument("--eval-frac", type=float)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--early-stop-patience", type=int)
-    p.add_argument("--train-seed", type=int)
+    _add_field_flags(p, SplitSpec)
+    _add_field_flags(p, TrainConfig)
 
 
 def _build_parser():
@@ -66,7 +72,7 @@ def _build_parser():
     g = sub.add_parser("generate", help="write a synthetic dataset file")
     g.add_argument("--out", required=True, help="output dataset path")
     g.add_argument("--gen-config", help="generator config JSON file")
-    _add_generator_flags(g)
+    _add_field_flags(g, GeneratorConfig)
 
     for name, help_text in (("run", "fit, evaluate and report"),
                             ("train", "fit detectors and write artifacts"),
@@ -82,15 +88,8 @@ def _build_parser():
 
 def _generator_config(args) -> GeneratorConfig:
     doc = read_json(args.gen_config) if args.gen_config else {}
-    cfg = dataclass_from_dict(GeneratorConfig, doc,
-                              f"generator config {args.gen_config}")
-    for flag in ("n_samples_per_condition", "anomaly_fraction", "base_amplitude",
-                 "harmonic_count", "noise_std", "anomaly_harmonic_gain",
-                 "anomaly_noise_gain", "seed"):
-        value = getattr(args, flag)
-        if value is not None:
-            setattr(cfg, flag, value)
-    return cfg
+    cfg = dataclass_from_dict(GeneratorConfig, doc, f"generator config {args.gen_config}")
+    return _with_flags(cfg, args)
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -107,20 +106,8 @@ def _experiment_config(args) -> ExperimentConfig:
                          for d in args.detectors.split(",") if d.strip()]
     if args.split_seed is not None:
         cfg.split_seed = args.split_seed
-    for frac in ("train_frac", "threshold_frac", "eval_frac"):
-        value = getattr(args, frac)
-        if value is not None:
-            cfg.split = dataclasses.replace(cfg.split, **{frac: value})
-    overrides = {}
-    for src, dst in (("learning_rate", "learning_rate"), ("batch_size", "batch_size"),
-                     ("max_epochs", "max_epochs"),
-                     ("early_stop_patience", "early_stop_patience"),
-                     ("train_seed", "seed")):
-        value = getattr(args, src)
-        if value is not None:
-            overrides[dst] = value
-    if overrides:
-        cfg.train = dataclasses.replace(cfg.train, **overrides)
+    cfg.split = _with_flags(cfg.split, args)
+    cfg.train = _with_flags(cfg.train, args)
     return cfg
 
 
@@ -146,10 +133,7 @@ def main(argv=None) -> int:
                 raise ConfigError("report needs --report or --output-dir")
             path = args.report or str(Path(args.output_dir) / "report.json")
             print(render_tables(load_report(path))[0])
-    except PumpwatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (PumpwatchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

@@ -12,14 +12,14 @@ train/threshold portions that the detectors are allowed to see.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DatasetFormatError, SplitError
 from .rng import SplitMix64, derive_seed
-from .util import round_half_up
+from .util import dataclass_from_dict, round_half_up
 
 OPERATING_FREQS_HZ = (50, 100, 150, 200, 250)
 CHANNEL_LENGTH = 1024
@@ -59,11 +59,8 @@ class SensorSample:
     def __eq__(self, other):
         if not isinstance(other, SensorSample):
             return NotImplemented
-        for name in ("sample_id", "timestamp", "operating_freq_hz", "temperature",
-                     "rotation_tag", "tube_id", "is_anomaly"):
-            if getattr(self, name) != getattr(other, name):
-                return False
-        return all(np.array_equal(self.channel(c), other.channel(c)) for c in CHANNELS)
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass
@@ -79,13 +76,6 @@ class Dataset:
 
     def __iter__(self):
         return iter(self.samples)
-
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (self.provenance == other.provenance
-                and self.generator_seed == other.generator_seed
-                and self.samples == other.samples)
 
     def validate(self):
         """Check the id invariant and every sample; raise on violation."""
@@ -204,10 +194,6 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
     return Dataset(samples=samples, provenance="synthetic", generator_seed=config.seed)
 
 
-_SAMPLE_FIELDS = ("sample_id", "timestamp", "operating_freq_hz", "temperature",
-                  "rotation_tag", "tube_id", "is_anomaly") + tuple(CHANNELS)
-
-
 def save_dataset(ds: Dataset, path):
     """Write one header line plus one JSON object per sample.
 
@@ -220,7 +206,8 @@ def save_dataset(ds: Dataset, path):
                   "generator_seed": ds.generator_seed}
         f.write(json.dumps(header, separators=(",", ":")) + "\n")
         for s in ds.samples:
-            obj = {name: getattr(s, name) for name in _SAMPLE_FIELDS if name not in CHANNELS}
+            obj = {f.name: getattr(s, f.name) for f in fields(s)
+                   if f.name not in CHANNELS}
             for name in CHANNELS:
                 obj[name] = s.channel(name).tolist()
             f.write(json.dumps(obj, separators=(",", ":")) + "\n")
@@ -229,8 +216,9 @@ def save_dataset(ds: Dataset, path):
 def load_dataset(path) -> Dataset:
     """Parse and strictly validate a dataset file.
 
-    Any malformed line, unknown or missing field, wrong channel length or
-    non-finite value raises DatasetFormatError naming the offending line.
+    Any malformed line, unknown or missing field, scalar of the wrong JSON
+    type, wrong channel length or non-finite value raises DatasetFormatError
+    naming the offending line.
     """
     samples = []
     with open(path) as f:
@@ -256,25 +244,14 @@ def load_dataset(path) -> Dataset:
             if not isinstance(obj, dict):
                 raise DatasetFormatError("sample line is not a JSON object",
                                          line_number=lineno)
-            unknown = set(obj) - set(_SAMPLE_FIELDS)
-            if unknown:
-                raise DatasetFormatError(f"unknown fields {sorted(unknown)}",
-                                         line_number=lineno)
-            missing = set(_SAMPLE_FIELDS) - set(obj)
-            if missing:
+            missing = {f.name for f in fields(SensorSample)} - set(obj)
+            if missing:  # also the fields SensorSample gives a default
                 raise DatasetFormatError(f"missing fields {sorted(missing)}",
                                          line_number=lineno)
             try:
-                sample = SensorSample(
-                    sample_id=int(obj["sample_id"]),
-                    timestamp=float(obj["timestamp"]),
-                    operating_freq_hz=int(obj["operating_freq_hz"]),
-                    temperature=float(obj["temperature"]),
-                    rotation_tag=bool(obj["rotation_tag"]),
-                    tube_id=int(obj["tube_id"]),
-                    is_anomaly=bool(obj["is_anomaly"]),
-                    **{name: np.asarray(obj[name], dtype=np.float64) for name in CHANNELS},
-                )
+                sample = dataclass_from_dict(
+                    SensorSample, obj, "sample line", error=DatasetFormatError,
+                    **{name: np.asarray(obj[name], dtype=np.float64) for name in CHANNELS})
                 validate_sample(sample)
             except (TypeError, ValueError) as e:
                 raise DatasetFormatError(f"bad field value: {e}", line_number=lineno)

@@ -51,7 +51,7 @@ from .nn.train import TrainConfig
 from .rng import derive_seed
 from .signal import (FEATURE_SET_ORDER, FeatureSetId, Normalizer, apply_normalizer,
                      assemble_features, channel_count, fit_normalizer, window)
-from .util import dataclass_from_dict, read_json, write_json
+from .util import dataclass_from_dict, read_json, typed_value, write_json
 
 
 class DetectorKind(Enum):
@@ -144,23 +144,27 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
 
-    dsrc = doc.get("dataset", {})
+    dsrc = typed_value(doc.get("dataset", {}), dict, "dataset")
+    extra = set(dsrc) - {"generate", "load"}
+    if extra:
+        raise ConfigError(f"unknown dataset keys {sorted(extra)}; "
+                          "it holds generate or load")
     if "generate" in dsrc:
         cfg.generate = dataclass_from_dict(GeneratorConfig, dsrc["generate"],
                                            "dataset.generate")
     if "load" in dsrc:
-        cfg.load = dsrc["load"]
+        cfg.load = typed_value(dsrc["load"], str, "dataset.load")
 
     sp = doc.get("split", {})
     cfg.split = dataclass_from_dict(SplitSpec, sp, "split", skip=("seed",))
-    cfg.split_seed = int(sp.get("seed", 0))
+    cfg.split_seed = typed_value(sp.get("seed", 0), int, "split.seed")
 
-    fsets = doc.get("feature_sets", "all")
-    cfg.feature_sets = parse_feature_sets(fsets)
+    cfg.feature_sets = parse_feature_sets(doc.get("feature_sets", "all"))
 
-    cfg.detectors = [parse_detector(d) for d in doc.get("detectors", [])]
+    cfg.detectors = [parse_detector(d)
+                     for d in typed_value(doc.get("detectors", []), list, "detectors")]
     cfg.train = dataclass_from_dict(TrainConfig, doc.get("train", {}), "train")
-    cfg.output_dir = doc.get("output_dir", "out")
+    cfg.output_dir = typed_value(doc.get("output_dir", "out"), str, "output_dir")
     return cfg
 
 
@@ -169,6 +173,9 @@ def parse_feature_sets(value) -> List[FeatureSetId]:
         return list(FEATURE_SET_ORDER)
     if isinstance(value, str):
         value = [v.strip() for v in value.split(",") if v.strip()]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f'feature_sets must be "all", a string or a list of '
+                          f"strings, got {value!r:.40}")
     out = []
     for name in value:
         try:
@@ -180,39 +187,31 @@ def parse_feature_sets(value) -> List[FeatureSetId]:
 
 
 def parse_detector(value) -> DetectorSpec:
-    if isinstance(value, str):
-        value = {"kind": value}
-    try:
-        kind = DetectorKind[value["kind"].upper()]
-    except KeyError:
-        raise ConfigError(f"unknown detector {value.get('kind')!r}; choose from "
+    """A detector from its kind name or from an object of DetectorSpec keys."""
+    doc = {"kind": value} if isinstance(value, str) else value
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a detector must be a name or an object, got {value!r:.40}")
+    name = doc.get("kind")
+    if not isinstance(name, str) or name.upper() not in DetectorKind.__members__:
+        raise ConfigError(f"unknown detector kind {name!r}; choose from "
                           f"{[d.name for d in DetectorKind]}")
-    spec = DetectorSpec(kind=kind)
-    for key in ("n", "cnn_bottleneck"):
-        if key in value:
-            setattr(spec, key, int(value[key]))
-    if "variance_target" in value:
-        spec.variance_target = float(value["variance_target"])
-    if "train" in value and value["train"] is not None:
-        spec.train = dataclass_from_dict(TrainConfig, value["train"],
-                                         f"train of detector {kind.name}")
-    return spec
+    kind = DetectorKind[name.upper()]
+    train = doc.get("train")
+    if train is not None:
+        train = dataclass_from_dict(TrainConfig, train, f"train of detector {kind.name}")
+    return dataclass_from_dict(DetectorSpec, doc, f"detector {kind.name}",
+                               kind=kind, train=train)
 
 
 def resolved_config_dict(cfg: ExperimentConfig) -> dict:
-    def traindict(tc):
-        return None if tc is None else dataclasses.asdict(tc)
-
     return {
         "dataset": ({"generate": dataclasses.asdict(cfg.generate)}
                     if cfg.generate is not None else {"load": cfg.load}),
         "split": {**dataclasses.asdict(cfg.split), "seed": cfg.split_seed},
         "feature_sets": [fs.name for fs in cfg.feature_sets],
-        "detectors": [{"kind": d.kind.name, "n": d.n,
-                       "cnn_bottleneck": d.cnn_bottleneck,
-                       "variance_target": d.variance_target,
-                       "train": traindict(d.train)} for d in cfg.detectors],
-        "train": traindict(cfg.train),
+        "detectors": [{**dataclasses.asdict(d), "kind": d.kind.name}
+                      for d in cfg.detectors],
+        "train": dataclasses.asdict(cfg.train),
         "output_dir": str(cfg.output_dir),
     }
 
@@ -376,9 +375,13 @@ def load_report(path) -> ExperimentReport:
     try:
         rows = [ReportRow(detector=DetectorSpec(kind=DetectorKind[r["detector"]]),
                           feature_set=FeatureSetId[r["feature_set"]],
-                          metrics=detect.Metrics(**r["metrics"]),
-                          threshold=detect.Threshold(**r["threshold"]))
-                for r in doc["rows"]]
+                          metrics=dataclass_from_dict(
+                              detect.Metrics, r["metrics"],
+                              f"metrics of row {i} in {path}", error=UsageError),
+                          threshold=dataclass_from_dict(
+                              detect.Threshold, r["threshold"],
+                              f"threshold of row {i} in {path}", error=UsageError))
+                for i, r in enumerate(doc["rows"])]
     except (KeyError, TypeError) as e:
         raise UsageError(f"{path} is a malformed report: {e!r}")
     return ExperimentReport(rows=rows, timelines={}, config=doc.get("config", {}))

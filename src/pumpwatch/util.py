@@ -1,8 +1,10 @@
 """Small shared helpers."""
 
 import dataclasses
+import functools
 import json
 import math
+import typing
 
 import numpy as np
 
@@ -36,28 +38,65 @@ def read_json(path):
         raise UsageError(f"{path} is not valid JSON: {e}")
 
 
-def dataclass_from_dict(cls, doc, what, skip=()):
-    """``cls(**doc)`` for a JSON object ``doc``, leaving out the keys in ``skip``.
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", list: "a list", dict: "an object", np.ndarray: "a list"}
 
-    A value that is not an object, or a key that is neither a field of
-    ``cls`` nor in ``skip``, is a ConfigError naming ``what``.
+
+# Resolving the string annotations costs about 0.2 ms per class.
+field_types = functools.lru_cache(maxsize=None)(typing.get_type_hints)
+
+
+def typed_value(value, tp, what, error=ConfigError):
+    """``value`` checked against the declared type ``tp``, as ``tp`` stores it.
+
+    An int takes a JSON integer (not true, not 64.7), a float any JSON
+    number, stored as a float, a bool true or false and an ndarray a list,
+    stored as an array; str, list and dict take their own JSON type.
+    Anything else is ``error`` naming ``what``.
+    """
+    if tp is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if tp is np.ndarray and isinstance(value, list):
+        return np.asarray(value)
+    if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+        return value
+    raise error(f"{what} must be {_JSON_TYPES[tp]}, got {value!r:.40}")
+
+
+def dataclass_from_dict(cls, doc, what, skip=(), error=ConfigError, **parsed):
+    """``cls(**doc)`` for a JSON object ``doc``, each value of its field's type.
+
+    The keys in ``skip`` are left out.  ``parsed`` holds the fields the
+    caller has built itself and passes them on unchecked.  A ``doc`` that is
+    not an object, a key that is neither a field of ``cls`` nor in ``skip``,
+    a missing field without a default and a value of the wrong type
+    (``typed_value``) are each ``error`` naming ``what``.
     """
     if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be a JSON object, not {type(doc).__name__}")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - fields - set(skip)
+        raise error(f"{what} must be a JSON object, not {type(doc).__name__}")
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    unknown = set(doc) - names - set(skip)
     if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {what}; "
-                          f"known keys are {sorted(fields | set(skip))}")
-    return cls(**{k: v for k, v in doc.items() if k in fields})
+        raise error(f"unknown keys {sorted(unknown)} in {what}; "
+                    f"known keys are {sorted(names | set(skip))}")
+    missing = [f.name for f in fields if f.name not in doc and f.name not in parsed
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise error(f"{what} lacks the keys {missing}")
+    types = field_types(cls)
+    values = {name: typed_value(value, types[name], f"{name} in {what}", error)
+              for name, value in doc.items() if name in names and name not in parsed}
+    return cls(**values, **parsed)
 
 
 class JsonFields:
     """save/load for a dataclass of numbers and arrays, as one JSON object.
 
-    Arrays are written as nested lists and every list is read back as an
-    array.  ``load`` ignores keys that are not fields, such as the
-    ``extra`` keys ``save`` writes beside them.
+    Arrays are written as nested lists and read back as arrays; ``load``
+    checks every field's type (``typed_value``) and ignores keys that are
+    not fields, such as the ``extra`` keys ``save`` writes beside them.
     """
 
     def save(self, path, **extra):
@@ -71,10 +110,6 @@ class JsonFields:
         doc = read_json(path)
         if not isinstance(doc, dict):
             raise UsageError(f"{path} does not hold a JSON object")
-        values = {}
-        for f in dataclasses.fields(cls):
-            if f.name not in doc:
-                raise UsageError(f"{path} lacks the field {f.name!r}")
-            value = doc[f.name]
-            values[f.name] = np.asarray(value) if isinstance(value, list) else value
-        return cls(**values)
+        names = {f.name for f in dataclasses.fields(cls)}
+        return dataclass_from_dict(cls, {k: v for k, v in doc.items() if k in names},
+                                   str(path), error=UsageError)

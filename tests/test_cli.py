@@ -1,10 +1,11 @@
 """Command-line entry point tests, run in-process through main(argv)."""
 
+import argparse
 import json
 
 import pytest
 
-from pumpwatch.cli import main
+from pumpwatch.cli import _build_parser, main
 from pumpwatch.dataset import load_dataset
 
 
@@ -159,6 +160,10 @@ _ROW = {"detector": "DNN", "feature_set": "VIB1D",
         "threshold": {"value": 1.0, "mean": 0.5, "std": 0.5, "calibration_count": 4}}
 
 
+def _config(doc):
+    return _bad_file("run", "--config", json.dumps(doc))
+
+
 @pytest.mark.parametrize("build, needle", [
     (_bad_file("run", "--config", _TRUNCATED), "input.json"),
     (_bad_file("generate", "--gen-config", _TRUNCATED), "input.json"),
@@ -173,10 +178,30 @@ _ROW = {"detector": "DNN", "feature_set": "VIB1D",
                json.dumps({"rows": [{**_ROW, "detector": "SVM"}]})), "input.json"),
     (_bad_file("report", "--report",
                json.dumps({"rows": [{"detector": "DNN"}]})), "input.json"),
+    (_config({"detectors": [{"kind": "DNN", "N": 64, "bottleneck": 8}]}), "'N'"),
+    (_config({"dataset": {"generate": {}, "lod": "x.jsonl"}}), "lod"),
+    (_config({"train": {"max_epochs": "5"}}), "max_epochs"),
+    (_config({"train": {"batch_size": True}}), "batch_size"),
+    (_config({"detectors": [{"kind": "DNN", "n": 64.7}]}), "n in detector DNN"),
+    (_config({"detectors": [{"kind": "DNN", "n": "abc"}]}), "n in detector DNN"),
+    (_config({"detectors": [{"kind": 5}]}), "kind"),
+    (_config({"feature_sets": 5}), "feature_sets"),
+    (_config({"detectors": "dnn"}), "detectors"),
+    (_config({"dataset": [1]}), "dataset"),
+    (_config({"split": {"seed": "x"}}), "split.seed"),
+    (_bad_file("generate", "--gen-config", '{"n_samples_per_condition": 4.5}'),
+     "n_samples_per_condition"),
+    (_bad_file("report", "--report", json.dumps(
+        {"rows": [{**_ROW, "metrics": {**_ROW["metrics"], "f1": "x"}}]})), "input.json"),
 ], ids=["truncated-config", "truncated-gen-config", "truncated-report",
         "unknown-train-key", "unknown-split-key", "unknown-generate-key",
         "unknown-detector-train-key", "unknown-gen-config-key",
-        "report-unknown-detector", "report-row-missing-key"])
+        "report-unknown-detector", "report-row-missing-key",
+        "detector-key-typo", "dataset-key-typo", "string-max-epochs",
+        "bool-batch-size", "fractional-n", "string-n", "integer-kind",
+        "integer-feature-sets", "string-detectors", "list-dataset",
+        "string-split-seed", "fractional-samples-per-condition",
+        "report-string-f1"])
 def test_bad_input_file_exits_2_naming_the_file_or_key(tmp_path, capsys, build, needle):
     assert main(build(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -188,3 +213,56 @@ def test_missing_config_file_exits_2_naming_it(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err and "artifact" not in err
+
+
+# Each subcommand's flags as (option strings, dest, type), written out so that
+# renaming or reordering a config field cannot move a flag unnoticed.
+_EXPERIMENT_FLAGS = [
+    (["-h", "--help"], "help", None),
+    (["--config"], "config", None),
+    (["--dataset"], "dataset", None),
+    (["--output-dir"], "output_dir", None),
+    (["--feature-sets"], "feature_sets", None),
+    (["--detectors"], "detectors", None),
+    (["--split-seed"], "split_seed", int),
+    (["--train-frac"], "train_frac", float),
+    (["--threshold-frac"], "threshold_frac", float),
+    (["--eval-frac"], "eval_frac", float),
+    (["--learning-rate"], "learning_rate", float),
+    (["--batch-size"], "batch_size", int),
+    (["--max-epochs"], "max_epochs", int),
+    (["--early-stop-patience"], "early_stop_patience", int),
+    (["--train-seed"], "train_seed", int),
+]
+_FLAGS = {
+    "generate": [
+        (["-h", "--help"], "help", None),
+        (["--out"], "out", None),
+        (["--gen-config"], "gen_config", None),
+        (["--n-samples-per-condition"], "n_samples_per_condition", int),
+        (["--anomaly-fraction"], "anomaly_fraction", float),
+        (["--base-amplitude"], "base_amplitude", float),
+        (["--harmonic-count"], "harmonic_count", int),
+        (["--noise-std"], "noise_std", float),
+        (["--anomaly-harmonic-gain"], "anomaly_harmonic_gain", float),
+        (["--anomaly-noise-gain"], "anomaly_noise_gain", float),
+        (["--seed"], "seed", int),
+    ],
+    "run": _EXPERIMENT_FLAGS,
+    "train": _EXPERIMENT_FLAGS,
+    "evaluate": _EXPERIMENT_FLAGS,
+    "report": [
+        (["-h", "--help"], "help", None),
+        (["--report"], "report", None),
+        (["--output-dir"], "output_dir", None),
+    ],
+}
+
+
+def test_flags_are_unchanged():
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(_FLAGS)
+    for name, parser in subparsers.choices.items():
+        flags = [(a.option_strings, a.dest, a.type) for a in parser._actions]
+        assert flags == _FLAGS[name], name

@@ -223,6 +223,18 @@ def test_load_rejects_missing_field(tmp_path):
         load_dataset(path)
 
 
+# SensorSample gives these fields defaults; a file must still carry them, or
+# a line without is_anomaly would load as a healthy sample.
+@pytest.mark.parametrize("name", ["is_anomaly", "rotation_tag", "tube_id"])
+def test_load_rejects_missing_defaulted_field(tmp_path, name):
+    obj = _sample_obj(0)
+    del obj[name]
+    path = tmp_path / "bad.jsonl"
+    _write_lines(path, [_HEADER, json.dumps(obj)])
+    with pytest.raises(DatasetFormatError, match=f"line 2.*missing.*{name}"):
+        load_dataset(path)
+
+
 def test_load_rejects_short_channel_citing_sample(tmp_path):
     obj = _sample_obj(5, audio=[0.0] * 1023)
     path = tmp_path / "bad.jsonl"
@@ -244,6 +256,22 @@ def test_load_rejects_bad_frequency(tmp_path):
     path = tmp_path / "bad.jsonl"
     _write_lines(path, [_HEADER, json.dumps(obj)])
     with pytest.raises(DatasetFormatError, match="line 2.*60"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("is_anomaly", "false"),
+    ("operating_freq_hz", 100.6),
+    ("sample_id", 0.9),
+    ("tube_id", True),
+])
+def test_load_rejects_wrong_scalar_type(tmp_path, field, value):
+    # A cast would read "false" as anomalous, 100.6 as 100, 0.9 as 0, true as 1.
+    obj = _sample_obj(0)
+    obj[field] = value
+    path = tmp_path / "bad.jsonl"
+    _write_lines(path, [_HEADER, json.dumps(obj)])
+    with pytest.raises(DatasetFormatError, match=f"line 2.*{field}"):
         load_dataset(path)
 
 
