@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DatasetFormatError, SplitError
 from .rng import SplitMix64, derive_seed
-from .util import dataclass_from_dict, round_half_up
+from .util import check_finite, dataclass_from_dict, round_half_up
 
 OPERATING_FREQS_HZ = (50, 100, 150, 200, 250)
 CHANNEL_LENGTH = 1024
@@ -98,6 +98,7 @@ class SplitSpec:
     eval_frac: float = 0.2
 
     def validate(self):
+        check_finite(self)
         fracs = (self.train_frac, self.threshold_frac, self.eval_frac)
         if any(f <= 0 for f in fracs):
             raise ConfigError("split fractions must be positive")
@@ -117,6 +118,7 @@ class GeneratorConfig:
     seed: int = 0
 
     def validate(self):
+        check_finite(self)
         if self.n_samples_per_condition < 1:
             raise ConfigError("n_samples_per_condition must be >= 1")
         if not 0.0 <= self.anomaly_fraction <= 1.0:

@@ -36,7 +36,6 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -46,29 +45,13 @@ from . import baseline, detect
 from .dataset import (Dataset, GeneratorConfig, SplitSpec, generate_synthetic,
                       load_dataset, split)
 from .errors import ConfigError, PumpwatchError, UsageError
-from .models import ArchitectureId, Autoencoder, ModelSpec
+from .models import Autoencoder, DetectorKind, build_cnn, build_dnn, build_lstm
 from .nn.train import TrainConfig
 from .rng import derive_seed
-from .signal import (FEATURE_SET_ORDER, FeatureSetId, Normalizer, apply_normalizer,
-                     assemble_features, channel_count, fit_normalizer, window)
-from .util import dataclass_from_dict, read_json, typed_value, write_json
-
-
-class DetectorKind(Enum):
-    DNN = "dnn"
-    LSTM = "lstm"
-    CNN = "cnn"
-    BM_PCA = "bm_pca"
-    BM_IQR = "bm_iqr"
-
-    @property
-    def label(self):
-        return self.name.replace("_", " ")
-
-    @property
-    def artifact(self):
-        """File name of the fitted model in its combination directory."""
-        return {"bm_pca": "pca.json", "bm_iqr": "iqr.json"}.get(self.value, "model.json")
+from .signal import (FEATURE_SET_ORDER, WINDOW_SIZE, FeatureSetId, Normalizer,
+                     apply_normalizer, assemble_features, channel_count,
+                     fit_normalizer, window)
+from .util import check_finite, dataclass_from_dict, read_json, typed_value, write_json
 
 
 @dataclass
@@ -78,6 +61,11 @@ class DetectorSpec:
     cnn_bottleneck: int = 32
     variance_target: float = 0.95
     train: Optional[TrainConfig] = None
+
+    def validate(self):
+        check_finite(self)
+        if self.train is not None:
+            self.train.validate()
 
 
 @dataclass
@@ -98,13 +86,20 @@ class ExperimentConfig:
             raise ConfigError("at least one feature set is required")
         if not self.detectors:
             raise ConfigError("at least one detector is required")
+        # A repeated kind or feature set would share, and overwrite, one
+        # artifact directory and one timeline.
+        for what, names in (("detector kind", [d.kind.name for d in self.detectors]),
+                             ("feature set", [fs.name for fs in self.feature_sets])):
+            repeated = [name for i, name in enumerate(names) if name in names[:i]]
+            if repeated:
+                raise ConfigError(f"{what} {repeated[0]} is listed more than once; "
+                                  "each may appear once")
         if self.generate is not None:
             self.generate.validate()
         self.split.validate()
         self.train.validate()
         for det in self.detectors:
-            if det.train is not None:
-                det.train.validate()
+            det.validate()
 
 
 @dataclass
@@ -124,7 +119,6 @@ class ReportRow:
     feature_set: FeatureSetId
     metrics: detect.Metrics
     threshold: detect.Threshold
-    runtime_seconds: float = 0.0
 
 
 @dataclass
@@ -225,9 +219,13 @@ def _fit_detector(det: DetectorSpec, fs: FeatureSetId, train: np.ndarray,
     if det.kind is DetectorKind.BM_IQR:
         return baseline.iqr_fit(baseline.flat_windows(train))
     combo_seed = derive_seed(traincfg.seed, det.kind.name, fs.name)
-    ae = ModelSpec(arch=ArchitectureId[det.kind.name], channels=channel_count(fs),
-                   n=det.n, cnn_bottleneck=det.cnn_bottleneck).build(
-                       seed=derive_seed(combo_seed, "init"))
+    channels, seed = channel_count(fs), derive_seed(combo_seed, "init")
+    if det.kind is DetectorKind.DNN:
+        ae = build_dnn(WINDOW_SIZE * channels, det.n, seed=seed)
+    elif det.kind is DetectorKind.LSTM:
+        ae = build_lstm(det.n, channels=channels, seed=seed)
+    else:
+        ae = build_cnn(channels=channels, bottleneck=det.cnn_bottleneck, seed=seed)
     ae.fit(train, dataclasses.replace(traincfg, seed=derive_seed(combo_seed, "train")))
     return ae
 
@@ -239,7 +237,7 @@ def _load_detector(kind: DetectorKind, fs: FeatureSetId, combo_dir: Path):
         return baseline.PcaModel.load(path)
     if kind is DetectorKind.BM_IQR:
         return baseline.IqrModel.load(path)
-    return Autoencoder.load(path, ArchitectureId[kind.name], channel_count(fs))
+    return Autoencoder.load(path, kind, channel_count(fs))
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> ExperimentReport:
@@ -341,12 +339,10 @@ def _pipeline(cfg, dataset, do_fit, do_eval):
             metrics = detect.evaluate(flags["eval"],
                                       [s.is_anomaly for s in splits["eval"]])
 
-            runtime = time.perf_counter() - started
-            key = (det.kind.name, fs.name)
-            timelines[key] = entries
-            runtimes[f"{det.kind.name}/{fs.name}"] = runtime
+            runtimes[f"{det.kind.name}/{fs.name}"] = time.perf_counter() - started
+            timelines[(det.kind.name, fs.name)] = entries
             rows.append(ReportRow(detector=det, feature_set=fs, metrics=metrics,
-                                  threshold=th, runtime_seconds=runtime))
+                                  threshold=th))
             _write_timeline_csv(entries, outdir / f"timeline_{combo_tag}.csv")
 
     write_json(runtimes, outdir / "runtimes.json")
@@ -437,22 +433,3 @@ def _write_timeline_csv(entries, path):
                      f"{str(e.truth).lower()},{e.split}")
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def export_timeline(report: ExperimentReport, path, detector=None, feature_set=None):
-    """Write one combination's timeline as CSV, timestamp-ascending.
-
-    With a single-combination report the combination may be omitted.
-    """
-    if not report.timelines:
-        raise UsageError("report has no timeline to export")
-    if detector is None and feature_set is None:
-        if len(report.timelines) != 1:
-            raise UsageError("report has several timelines; "
-                             "name a detector and feature set")
-        key = next(iter(report.timelines))
-    else:
-        key = (detector if isinstance(detector, str) else detector.name,
-               feature_set if isinstance(feature_set, str) else feature_set.name)
-        if key not in report.timelines:
-            raise UsageError(f"no timeline for {key}")
-    _write_timeline_csv(report.timelines[key], path)

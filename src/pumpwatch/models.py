@@ -1,4 +1,4 @@
-"""The three autoencoder recipes and their window marshalling.
+"""The detector kinds, the three autoencoder recipes and their window marshalling.
 
 - DNN: dense stack with widths x, n, n/3, n/4, n/3, n, x (round half up),
   tanh everywhere except the final linear reconstruction layer.  A
@@ -19,7 +19,6 @@ the concatenated vector.  ``Autoencoder`` hides that difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,34 +30,26 @@ from .signal import WINDOW_SIZE
 from .util import round_half_up
 
 
-class ArchitectureId(Enum):
+class DetectorKind(Enum):
     DNN = "dnn"
     LSTM = "lstm"
     CNN = "cnn"
+    BM_PCA = "bm_pca"
+    BM_IQR = "bm_iqr"
+
+    @property
+    def label(self):
+        return self.name.replace("_", " ")
+
+    @property
+    def artifact(self):
+        """File name of the fitted model in its combination directory."""
+        return {"bm_pca": "pca.json", "bm_iqr": "iqr.json"}.get(self.value, "model.json")
 
 
 LSTM_FLOOR = 16
 CNN_FILTERS = (16, 32, 64, 128)
 DNN_N_RANGE = (64, 200)
-
-
-@dataclass
-class ModelSpec:
-    """Declarative recipe selection, resolvable to an Autoencoder."""
-
-    arch: ArchitectureId
-    channels: int = 1
-    n: int = 150
-    cnn_bottleneck: int = 32
-
-    def build(self, seed=0) -> "Autoencoder":
-        if self.arch is ArchitectureId.DNN:
-            return build_dnn(WINDOW_SIZE * self.channels, self.n, seed=seed,
-                             channels=self.channels)
-        if self.arch is ArchitectureId.LSTM:
-            return build_lstm(self.n, channels=self.channels, seed=seed)
-        return build_cnn(channels=self.channels, bottleneck=self.cnn_bottleneck,
-                         seed=seed)
 
 
 def _width(v):
@@ -79,20 +70,20 @@ def lstm_units(n):
 class Autoencoder:
     """A built recipe plus the window <-> network-input marshalling."""
 
-    def __init__(self, arch: ArchitectureId, network: Network, channels: int):
-        self.arch = arch
+    def __init__(self, kind: DetectorKind, network: Network, channels: int):
+        self.kind = kind
         self.network = network
         self.channels = int(channels)
 
     def to_inputs(self, windows: np.ndarray) -> np.ndarray:
         """(count, channels, 64) -> network input layout."""
         windows = np.asarray(windows, dtype=np.float64)
-        if self.arch is ArchitectureId.DNN:
+        if self.kind is DetectorKind.DNN:
             return windows.reshape(len(windows), self.channels * WINDOW_SIZE)
         return windows.transpose(0, 2, 1)
 
     def from_outputs(self, outputs: np.ndarray) -> np.ndarray:
-        if self.arch is ArchitectureId.DNN:
+        if self.kind is DetectorKind.DNN:
             return outputs.reshape(len(outputs), self.channels, WINDOW_SIZE)
         return outputs.transpose(0, 2, 1)
 
@@ -106,12 +97,12 @@ class Autoencoder:
         """Train on (count, channels, 64) windows, target = input."""
         return nn.train(self.network, self.to_inputs(windows), cfg)
 
-    def window_errors(self, windows: np.ndarray, batch_size=512) -> np.ndarray:
+    def window_errors(self, windows: np.ndarray) -> np.ndarray:
         """Per-window reconstruction MSE, batched."""
         x = self.to_inputs(windows)
         if len(x) == 0:
             return np.zeros(0)
-        out = self.network.predict(x, batch_size=batch_size)
+        out = self.network.predict(x)
         diff = out - x
         return (diff * diff).reshape(len(x), -1).mean(axis=1)
 
@@ -122,9 +113,9 @@ class Autoencoder:
         self.network.save(path)
 
     @classmethod
-    def load(cls, path, arch: ArchitectureId, channels: int) -> "Autoencoder":
+    def load(cls, path, kind: DetectorKind, channels: int) -> "Autoencoder":
         """A saved network; the recipe and channel count are not in the file."""
-        return cls(arch, Network.load(path), channels)
+        return cls(kind, Network.load(path), channels)
 
 
 def _dnn_network(x, n) -> Network:
@@ -137,20 +128,16 @@ def _dnn_network(x, n) -> Network:
     return Network(layers)
 
 
-def build_dnn(x, n=150, seed=0, channels=None) -> Autoencoder:
+def build_dnn(x, n=150, seed=0) -> Autoencoder:
     """Dense recipe; x is the flattened window length (64 * channels)."""
-    if x < 1:
-        raise ConfigError("x must be >= 1")
+    if x < 1 or x % WINDOW_SIZE != 0:
+        raise ConfigError(f"x must be a positive multiple of the window size "
+                          f"{WINDOW_SIZE}, got {x}")
     lo, hi = DNN_N_RANGE
     if not lo <= n <= hi:
         raise ConfigError(f"DNN n must be in [{lo}, {hi}], got {n}")
-    if channels is None:
-        if x % WINDOW_SIZE != 0:
-            raise ConfigError(f"x = {x} is not a multiple of the window size "
-                              f"{WINDOW_SIZE}; pass channels explicitly")
-        channels = x // WINDOW_SIZE
     net = _dnn_network(x, n).initialize(seed)
-    return Autoencoder(ArchitectureId.DNN, net, channels)
+    return Autoencoder(DetectorKind.DNN, net, x // WINDOW_SIZE)
 
 
 def build_lstm(n=150, timesteps=WINDOW_SIZE, channels=1, seed=0) -> Autoencoder:
@@ -171,7 +158,7 @@ def build_lstm(n=150, timesteps=WINDOW_SIZE, channels=1, seed=0) -> Autoencoder:
         nn.Dense(units[7], channels),
     ]
     net = Network(layers).initialize(seed)
-    return Autoencoder(ArchitectureId.LSTM, net, channels)
+    return Autoencoder(DetectorKind.LSTM, net, channels)
 
 
 def build_cnn(timesteps=WINDOW_SIZE, channels=1, bottleneck=32, seed=0) -> Autoencoder:
@@ -198,4 +185,4 @@ def build_cnn(timesteps=WINDOW_SIZE, channels=1, bottleneck=32, seed=0) -> Autoe
         nn.Conv1D(f1, channels),
     ]
     net = Network(layers).initialize(seed)
-    return Autoencoder(ArchitectureId.CNN, net, channels)
+    return Autoencoder(DetectorKind.CNN, net, channels)

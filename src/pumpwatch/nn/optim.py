@@ -5,29 +5,31 @@ from __future__ import annotations
 
 import numpy as np
 
+# The scheme's decay rates of the two moment estimates and its guard against
+# a zero denominator.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class Adam:
-    def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999,
-                 epsilon=1e-8):
+    def __init__(self, params, learning_rate=1e-3):
         self.params = dict(params)
         self.lr = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(epsilon)
         self.t = 0
         self.m = {name: np.zeros_like(arr) for name, arr in self.params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in self.params.items()}
 
     def step(self, grads: dict):
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for name, arr in self.params.items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            arr -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            arr -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPSILON)

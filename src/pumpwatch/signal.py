@@ -15,7 +15,7 @@ operations the one-sample formula uses, so a split's features do not
 depend on which other samples share the array.  Windows of one split are
 one (samples * windows, channels, size) array, sample-major: rows
 ``i * W .. (i + 1) * W - 1`` are sample i's windows in time order.  They
-are cut from a strided view of the feature array and copied once.
+are the feature array cut and reshaped; no two windows overlap.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from enum import Enum
 from typing import Iterable, List
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import SensorSample
 from .errors import ShapeError
@@ -49,53 +48,42 @@ class FeatureSetId(Enum):
         return self.name.startswith("FFT_")
 
     @property
+    def base(self):
+        """The raw feature set this one is the FFT of, or itself."""
+        return self.name.removeprefix("FFT_")
+
+    @property
     def label(self):
         """Human-readable name used in report tables."""
-        base = {
-            "VIB1D": "Vibrations 1D",
-            "AUDIO": "Audio",
-            "VIB3D": "Vibrations 3D",
-            "VIB1D_AUDIO": "Vibrations 1D & Audio",
-        }
-        key = self.name[4:] if self.is_fft else self.name
-        return ("FFT " if self.is_fft else "") + base[key]
+        return ("FFT " if self.is_fft else "") + _BASES[self.base][0]
 
 
 # Report row order: raw sets first, then their FFT variants.
-FEATURE_SET_ORDER = (
-    FeatureSetId.VIB1D,
-    FeatureSetId.AUDIO,
-    FeatureSetId.VIB3D,
-    FeatureSetId.VIB1D_AUDIO,
-    FeatureSetId.FFT_VIB1D,
-    FeatureSetId.FFT_AUDIO,
-    FeatureSetId.FFT_VIB3D,
-    FeatureSetId.FFT_VIB1D_AUDIO,
-)
+FEATURE_SET_ORDER = tuple(FeatureSetId)
 
 
-# Raw sensor channels read for each base feature set, in channel order; the
-# vib-1D channel is computed from the three vibration axes.
-_BASE_CHANNELS = {
-    "VIB1D": ["vib1d"],
-    "AUDIO": ["audio"],
-    "VIB3D": ["vib_x", "vib_y", "vib_z"],
-    "VIB1D_AUDIO": ["vib1d", "audio"],
+# Each base feature set's report label and the raw sensor channels it reads,
+# in channel order; the vib-1D channel is computed from the three vibration axes.
+_BASES = {
+    "VIB1D": ("Vibrations 1D", ["vib1d"]),
+    "AUDIO": ("Audio", ["audio"]),
+    "VIB3D": ("Vibrations 3D", ["vib_x", "vib_y", "vib_z"]),
+    "VIB1D_AUDIO": ("Vibrations 1D & Audio", ["vib1d", "audio"]),
 }
 
 
-def _base(fs: FeatureSetId) -> str:
-    return fs.name[4:] if fs.is_fft else fs.name
+def _channels(fs: FeatureSetId) -> List[str]:
+    return _BASES[fs.base][1]
 
 
 def channel_names(fs: FeatureSetId) -> List[str]:
     """Channel names in the order of the feature array's channel axis."""
-    names = _BASE_CHANNELS[_base(fs)]
+    names = _channels(fs)
     return ["fft_" + name for name in names] if fs.is_fft else list(names)
 
 
 def channel_count(fs: FeatureSetId) -> int:
-    return len(_BASE_CHANNELS[_base(fs)])
+    return len(_channels(fs))
 
 
 def feature_length(fs: FeatureSetId) -> int:
@@ -169,7 +157,7 @@ def assemble_features(samples: Iterable[SensorSample], fs: FeatureSetId) -> np.n
     samples = list(samples)
     if not samples:
         return np.zeros((0, channel_count(fs), feature_length(fs)))
-    names = _BASE_CHANNELS[_base(fs)]
+    names = _channels(fs)
     sensors = [name for name in names if name != "vib1d"]
     if "vib1d" in names:
         sensors += ["vib_x", "vib_y", "vib_z"]
@@ -217,14 +205,16 @@ def apply_normalizer(nz: Normalizer, features) -> np.ndarray:
     return out
 
 
-def window(features, size=WINDOW_SIZE, stride=WINDOW_SIZE) -> np.ndarray:
-    """Cut contiguous [i*stride, i*stride + size) slices; drop the remainder.
+def window(features) -> np.ndarray:
+    """Cut each channel into contiguous WINDOW_SIZE slices; drop the remainder.
 
-    Returns (samples * windows, channels, size), sample-major.
+    Returns (samples * windows, channels, WINDOW_SIZE), sample-major.
     """
     features = _check_features(features, "window")
     n, channels, length = features.shape
-    if length < size:
-        raise ShapeError(f"feature length {length} shorter than window size {size}")
-    cut = sliding_window_view(features, size, axis=2)[:, :, ::stride]
-    return cut.transpose(0, 2, 1, 3).reshape(n * cut.shape[2], channels, size)
+    count = length // WINDOW_SIZE
+    if count == 0:
+        raise ShapeError(f"feature length {length} shorter than window size "
+                         f"{WINDOW_SIZE}")
+    cut = features[:, :, :count * WINDOW_SIZE].reshape(n, channels, count, WINDOW_SIZE)
+    return cut.transpose(0, 2, 1, 3).reshape(n * count, channels, WINDOW_SIZE)

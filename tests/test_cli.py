@@ -164,6 +164,13 @@ def _config(doc):
     return _bad_file("run", "--config", json.dumps(doc))
 
 
+def _run_flags(*flags):
+    def build(tmp_path):
+        return ["run", "--dataset", str(tmp_path / "d.jsonl"),
+                "--output-dir", str(tmp_path / "out"), *flags]
+    return build
+
+
 @pytest.mark.parametrize("build, needle", [
     (_bad_file("run", "--config", _TRUNCATED), "input.json"),
     (_bad_file("generate", "--gen-config", _TRUNCATED), "input.json"),
@@ -193,6 +200,8 @@ def _config(doc):
      "n_samples_per_condition"),
     (_bad_file("report", "--report", json.dumps(
         {"rows": [{**_ROW, "metrics": {**_ROW["metrics"], "f1": "x"}}]})), "input.json"),
+    (_run_flags("--detectors", "dnn,dnn"), "DNN is listed more than once"),
+    (_run_flags("--detectors", "bm_iqr", "--learning-rate", "nan"), "learning_rate"),
 ], ids=["truncated-config", "truncated-gen-config", "truncated-report",
         "unknown-train-key", "unknown-split-key", "unknown-generate-key",
         "unknown-detector-train-key", "unknown-gen-config-key",
@@ -201,7 +210,7 @@ def _config(doc):
         "bool-batch-size", "fractional-n", "string-n", "integer-kind",
         "integer-feature-sets", "string-detectors", "list-dataset",
         "string-split-seed", "fractional-samples-per-condition",
-        "report-string-f1"])
+        "report-string-f1", "repeated-detector-flag", "nan-learning-rate-flag"])
 def test_bad_input_file_exits_2_naming_the_file_or_key(tmp_path, capsys, build, needle):
     assert main(build(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -15,12 +15,12 @@ from pumpwatch.dataset import (Dataset, GeneratorConfig, SplitSpec,
 from pumpwatch.dataset import split as split_dataset
 from pumpwatch.errors import CalibrationError, ConfigError, ShapeError, UsageError
 from pumpwatch.harness import (DetectorKind, DetectorSpec, ExperimentConfig,
-                               ExperimentReport, ReportRow, TimelineEntry,
-                               config_from_dict, evaluate_experiment,
-                               export_timeline, load_report, parse_detector,
+                               ExperimentReport, ReportRow, config_from_dict,
+                               evaluate_experiment, load_report, parse_detector,
                                parse_feature_sets, render_tables,
                                resolved_config_dict, run_experiment,
                                train_experiment)
+from pumpwatch.models import Autoencoder
 from pumpwatch.nn.train import TrainConfig
 from pumpwatch.signal import (FEATURE_SET_ORDER, FeatureSetId, Normalizer,
                               apply_normalizer, assemble_features,
@@ -98,6 +98,47 @@ def test_config_requires_detectors_and_feature_sets():
     cfg.feature_sets = []
     with pytest.raises(ConfigError, match="feature set"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("doc, needle", [
+    ({"detectors": [{"kind": "bm_pca", "variance_target": 0.5},
+                    {"kind": "bm_pca", "variance_target": 0.99}],
+      "feature_sets": ["vib1d", "vib1d"]}, "detector kind BM_PCA"),
+    ({"detectors": ["dnn", "bm_iqr", "DNN"]}, "detector kind DNN"),
+    ({"detectors": ["bm_iqr"], "feature_sets": "vib1d,audio,vib1d"},
+     "feature set VIB1D"),
+], ids=["kind-and-feature-set", "kind", "feature-set"])
+def test_repeated_detector_kind_or_feature_set_is_a_config_error(tmp_path, doc,
+                                                                 needle):
+    # two combinations of one name would share an artifact directory and a
+    # timeline file, and the second fit would overwrite the first
+    outdir = tmp_path / "out"
+    cfg = config_from_dict({"dataset": {"generate": {}}, "output_dir": str(outdir),
+                            **doc})
+    with pytest.raises(ConfigError, match=f"{needle} is listed more than once"):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=needle):
+        run_experiment(cfg)
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("slot, value, name", [
+    ("split", SplitSpec(train_frac=math.nan), "train_frac"),
+    ("generate", GeneratorConfig(noise_std=math.nan), "noise_std"),
+    ("generate", GeneratorConfig(base_amplitude=math.inf), "base_amplitude"),
+    ("train", TrainConfig(learning_rate=math.nan), "learning_rate"),
+    ("detectors", DetectorSpec(kind=DetectorKind.BM_PCA, variance_target=math.nan),
+     "variance_target"),
+], ids=["split-nan", "generate-nan", "generate-inf", "train-nan", "detector-nan"])
+def test_non_finite_config_numbers_are_config_errors(tmp_path, slot, value, name):
+    with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+        value.validate()
+    outdir = tmp_path / "out"
+    cfg = dataclasses.replace(_one_detector_config(outdir, GeneratorConfig()),
+                              **{slot: [value] if slot == "detectors" else value})
+    with pytest.raises(ConfigError, match=name):
+        run_experiment(cfg)
+    assert not outdir.exists()  # refused before any dataset or model
 
 
 def test_parse_feature_sets():
@@ -290,6 +331,8 @@ def test_every_detector_round_trips_through_save_and_load(tmp_path, small_datase
     model.save(tmp_path / kind.artifact)
     loaded = harness._load_detector(kind, fs, tmp_path)
     assert type(loaded) is type(model)
+    if isinstance(model, Autoencoder):
+        assert model.kind is loaded.kind is kind
     assert np.array_equal(loaded.window_errors(threshold_w),
                           model.window_errors(threshold_w))
 
@@ -463,37 +506,3 @@ def test_load_report_round_trips_rendering(experiment):
     assert text == (outdir / "report.txt").read_text()
     assert csv_text == (outdir / "report.csv").read_text()
 
-
-# -------------------------------------------------------- timeline export
-
-def test_export_timeline_by_name(experiment, tmp_path):
-    _, report, outdir = experiment
-    dest = tmp_path / "t.csv"
-    export_timeline(report, dest, detector="BM_IQR", feature_set="VIB1D")
-    assert dest.read_bytes() == (outdir / "timeline_bm_iqr_vib1d.csv").read_bytes()
-    dest2 = tmp_path / "t2.csv"
-    export_timeline(report, dest2, detector=DetectorKind.DNN,
-                    feature_set=FeatureSetId.FFT_AUDIO)
-    assert dest2.read_bytes() == (outdir / "timeline_dnn_fft_audio.csv").read_bytes()
-
-
-def test_export_timeline_single_combination_needs_no_name(experiment, tmp_path):
-    _, report, _ = experiment
-    key = (DetectorKind.DNN.name, FeatureSetId.VIB1D.name)
-    solo = ExperimentReport(rows=[], timelines={key: report.timelines[key]},
-                            config={})
-    dest = tmp_path / "solo.csv"
-    export_timeline(solo, dest)
-    assert dest.read_text().startswith("sample_id,")
-
-
-def test_export_timeline_errors(experiment, tmp_path):
-    _, report, _ = experiment
-    with pytest.raises(UsageError, match="several"):
-        export_timeline(report, tmp_path / "x.csv")
-    with pytest.raises(UsageError, match="no timeline"):
-        export_timeline(report, tmp_path / "x.csv",
-                        detector="DNN", feature_set="VIB3D")
-    empty = ExperimentReport(rows=[], timelines={}, config={})
-    with pytest.raises(UsageError):
-        export_timeline(empty, tmp_path / "x.csv")

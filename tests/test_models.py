@@ -6,9 +6,8 @@ import pytest
 
 from pumpwatch import nn
 from pumpwatch.errors import ConfigError
-from pumpwatch.models import (ArchitectureId, Autoencoder, ModelSpec,
-                              build_cnn, build_dnn, build_lstm, dnn_widths,
-                              lstm_units)
+from pumpwatch.models import (Autoencoder, DetectorKind, build_cnn, build_dnn,
+                              build_lstm, dnn_widths, lstm_units)
 from pumpwatch.nn import Conv1D, Dense, MaxPool1D, TrainConfig
 
 
@@ -74,7 +73,7 @@ def test_build_dnn_validation():
     with pytest.raises(ConfigError):
         build_dnn(0, 150)
     with pytest.raises(ConfigError):
-        build_dnn(100, 150)  # not a window multiple, channels not given
+        build_dnn(100, 150)  # not a window multiple
     ae = build_dnn(128, 150)  # infers 2 channels
     assert ae.channels == 2
 
@@ -135,13 +134,6 @@ def test_build_cnn_validation():
         build_cnn(bottleneck=0)
 
 
-def test_model_spec_dispatch():
-    assert ModelSpec(ArchitectureId.DNN, channels=2, n=64).build().arch is ArchitectureId.DNN
-    assert ModelSpec(ArchitectureId.LSTM, n=16).build().arch is ArchitectureId.LSTM
-    cnn = ModelSpec(ArchitectureId.CNN, channels=3).build()
-    assert cnn.arch is ArchitectureId.CNN and cnn.channels == 3
-
-
 # ---------------------------------------------------------------- shapes
 
 @pytest.mark.parametrize("ae_builder,channels", [
@@ -171,7 +163,7 @@ def test_predict_on_no_windows_is_empty(ae_builder):
 
 
 def test_dnn_flattening_concatenates_channels():
-    ae = Autoencoder(ArchitectureId.DNN, network=None, channels=2)
+    ae = Autoencoder(DetectorKind.DNN, network=None, channels=2)
     w = np.arange(2 * 2 * 64, dtype=np.float64).reshape(2, 2, 64)
     flat = ae.to_inputs(w)
     assert flat.shape == (2, 128)
@@ -181,7 +173,7 @@ def test_dnn_flattening_concatenates_channels():
 
 
 def test_sequence_layout_is_time_major():
-    ae = Autoencoder(ArchitectureId.LSTM, network=None, channels=3)
+    ae = Autoencoder(DetectorKind.LSTM, network=None, channels=3)
     w = np.random.default_rng(2).normal(size=(4, 3, 64))
     x = ae.to_inputs(w)
     assert x.shape == (4, 64, 3)

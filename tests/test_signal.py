@@ -122,6 +122,11 @@ def test_feature_set_catalogue():
     assert counts == [1, 1, 3, 2, 1, 1, 3, 2]
     lengths = [feature_length(fs) for fs in FEATURE_SET_ORDER]
     assert lengths == [1024, 1024, 1024, 1024, 512, 512, 512, 512]
+    # report row order and labels: raw sets first, then their FFT variants
+    assert [fs.label for fs in FEATURE_SET_ORDER] == [
+        "Vibrations 1D", "Audio", "Vibrations 3D", "Vibrations 1D & Audio",
+        "FFT Vibrations 1D", "FFT Audio", "FFT Vibrations 3D",
+        "FFT Vibrations 1D & Audio"]
 
 
 def test_assemble_shapes_all_sets(one_sample, five_samples):
@@ -280,12 +285,6 @@ def test_window_drops_remainder():
     assert len(window(fm)) == 1
 
 
-def test_window_custom_stride():
-    fm = _fm(np.zeros((1, 128)))
-    batch = window(fm, size=64, stride=32)
-    assert len(batch) == 3
-
-
 def test_window_too_short():
     with pytest.raises(ShapeError):
         window(_fm(np.zeros((1, 63))))
@@ -329,12 +328,12 @@ def _ref_apply_normalizer(nz, values):
     return out
 
 
-def _ref_window(values, size=WINDOW_SIZE, stride=WINDOW_SIZE):
+def _ref_window(values):
     wins = []
     start = 0
-    while start + size <= values.shape[1]:
-        wins.append(values[:, start:start + size].copy())
-        start += stride
+    while start + WINDOW_SIZE <= values.shape[1]:
+        wins.append(values[:, start:start + WINDOW_SIZE].copy())
+        start += WINDOW_SIZE
     return wins
 
 
@@ -378,11 +377,9 @@ def test_batched_features_match_per_sample_code(mixed_samples, fs):
     assert np.array_equal(window(normed), want, equal_nan=True)
 
 
-@pytest.mark.parametrize("size,stride", [(64, 64), (64, 32), (48, 48), (64, 100),
-                                         (100, 64), (1, 1)])
-def test_batched_window_matches_per_sample_code(size, stride):
+def test_batched_window_matches_per_sample_code():
     values = np.random.default_rng(4).normal(size=(3, 2, 300))
-    want = np.concatenate([_ref_to_array(_ref_window(v, size, stride)) for v in values])
-    got = window(values, size=size, stride=stride)
+    want = np.concatenate([_ref_to_array(_ref_window(v)) for v in values])
+    got = window(values)
     assert got.flags.c_contiguous
     assert np.array_equal(got, want)
