@@ -45,6 +45,12 @@ class IqrModel(JsonFields):
         return outlier_ratios(self, flat_windows(windows))
 
 
+def check_variance_target(variance_target, error=UsageError):
+    """Raise ``error`` unless ``variance_target`` is in (0, 1]."""
+    if not 0 < variance_target <= 1:
+        raise error(f"variance_target must be in (0, 1], got {variance_target}")
+
+
 def pca_fit(train, variance_target=0.95, k=None) -> PcaModel:
     """Principal components of the centered train covariance.
 
@@ -61,8 +67,7 @@ def pca_fit(train, variance_target=0.95, k=None) -> PcaModel:
     n, d = x.shape
     if n < 2:
         raise UsageError(f"pca_fit needs at least 2 vectors, got {n}")
-    if not 0 < variance_target <= 1:
-        raise UsageError("variance_target must be in (0, 1]")
+    check_variance_target(variance_target)
     if k is not None and not 1 <= k <= d:
         raise UsageError(f"k must be in [1, {d}]")
 

@@ -36,6 +36,10 @@ CHANNELS = {
 
 _FORMAT_TAG = "pumpwatch-dataset-v1"
 
+# generate_synthetic draws this many samples' streams at once, so that its
+# transient arrays stay a fixed size however large the dataset.
+GENERATE_BLOCK = 16
+
 
 @dataclass
 class SensorSample:
@@ -150,12 +154,17 @@ def validate_sample(s: SensorSample):
 def generate_synthetic(config: GeneratorConfig) -> Dataset:
     """Deterministic synthetic dataset: equal (config, seed) gives equal bytes.
 
-    Per condition, round-half-up(anomaly_fraction * n) samples are anomalous.
-    Each channel is sum over h = 1..harmonic_count of (base_amplitude / h) *
-    sin(2*pi*h*f*t + phase) sampled at the channel rate, plus N(0, noise_std)
-    noise.  Anomalies multiply the 2nd-harmonic amplitude and the noise level.
-    Phases and noise come from per-(sample, channel) derived seeds, so the
-    stream layout is stable under config changes elsewhere.
+    Per condition, round-half-up(anomaly_fraction * n) samples are anomalous,
+    and the ``"schedule"`` stream shuffles the order of all conditions'
+    samples.  Each channel is sum over h = 1..harmonic_count of
+    (base_amplitude / h) * sin(2*pi*h*f*t + phase) sampled at the channel
+    rate, plus N(0, noise_std) noise.  Anomalies multiply the 2nd-harmonic
+    amplitude and the noise level.  Sample ``i`` draws its channel ``ci``
+    phases from stream ``"phase", i, ci``, its noise from ``"noise", i, ci``
+    and its temperature jitter from ``"temp", i``, so the stream layout is
+    stable under config changes elsewhere.  ``docs/prng.md`` lists every
+    stream.  The streams of up to ``GENERATE_BLOCK`` samples are drawn as
+    one block per channel; each row equals its sample's own stream.
     """
     config.validate()
     schedule = []
@@ -166,33 +175,42 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
         schedule.extend([(freq, False)] * (n - n_anom))
     SplitMix64(derive_seed(config.seed, "schedule")).shuffle(schedule)
 
+    # derive_seed(seed, "phase", i, ci) == derive_seed(phase_root, i, ci).
+    phase_root, noise_root, temp_root = (derive_seed(config.seed, tag)
+                                         for tag in ("phase", "noise", "temp"))
     samples = []
-    for i, (freq, is_anom) in enumerate(schedule):
+    for start in range(0, len(schedule), GENERATE_BLOCK):
+        ids = range(start, min(start + GENERATE_BLOCK, len(schedule)))
+        freqs = np.array([schedule[i][0] for i in ids], dtype=np.float64)[:, None]
+        anom = np.array([schedule[i][1] for i in ids])[:, None]
         chans = {}
         for ci, (name, rate) in enumerate(CHANNELS.items()):
             t = np.arange(CHANNEL_LENGTH, dtype=np.float64) / rate
             phases = 2.0 * np.pi * SplitMix64(
-                derive_seed(config.seed, "phase", i, ci)).uniforms(config.harmonic_count)
-            sig = np.zeros(CHANNEL_LENGTH)
+                [derive_seed(phase_root, i, ci) for i in ids]).uniforms(config.harmonic_count)
+            sig = np.zeros((len(ids), CHANNEL_LENGTH))
             for h in range(1, config.harmonic_count + 1):
                 amp = config.base_amplitude / h
-                if is_anom and h == 2:
-                    amp *= config.anomaly_harmonic_gain
-                sig += amp * np.sin(2.0 * np.pi * h * freq * t + phases[h - 1])
-            std = config.noise_std * (config.anomaly_noise_gain if is_anom else 1.0)
-            if std > 0:
+                if h == 2:
+                    amp = np.where(anom, amp * config.anomaly_harmonic_gain, amp)
+                sig += amp * np.sin(2.0 * np.pi * h * freqs * t + phases[:, h - 1:h])
+            # noise_std * gain > 0 exactly when noise_std > 0: gains are > 0.
+            if config.noise_std > 0:
+                std = config.noise_std * np.where(anom, config.anomaly_noise_gain, 1.0)
                 sig = sig + std * SplitMix64(
-                    derive_seed(config.seed, "noise", i, ci)).normals(CHANNEL_LENGTH)
+                    [derive_seed(noise_root, i, ci) for i in ids]).normals(CHANNEL_LENGTH)
             chans[name] = sig
-        temp_noise = SplitMix64(derive_seed(config.seed, "temp", i)).normals(1)[0]
-        samples.append(SensorSample(
-            sample_id=i,
-            timestamp=1_700_000_000.0 + 60.0 * i,
-            operating_freq_hz=freq,
-            temperature=40.0 + 0.002 * i + 0.05 * temp_noise,
-            is_anomaly=is_anom,
-            **chans,
-        ))
+        temp_noise = SplitMix64([derive_seed(temp_root, i) for i in ids]).normals(1)[:, 0]
+        for j, i in enumerate(ids):
+            freq, is_anom = schedule[i]
+            samples.append(SensorSample(
+                sample_id=i,
+                timestamp=1_700_000_000.0 + 60.0 * i,
+                operating_freq_hz=freq,
+                temperature=40.0 + 0.002 * i + 0.05 * temp_noise[j],
+                is_anomaly=is_anom,
+                **{name: sig[j] for name, sig in chans.items()},
+            ))
     return Dataset(samples=samples, provenance="synthetic", generator_seed=config.seed)
 
 

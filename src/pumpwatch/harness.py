@@ -45,7 +45,8 @@ from . import baseline, detect
 from .dataset import (Dataset, GeneratorConfig, SplitSpec, generate_synthetic,
                       load_dataset, split)
 from .errors import ConfigError, PumpwatchError, UsageError
-from .models import Autoencoder, DetectorKind, build_cnn, build_dnn, build_lstm
+from .models import (Autoencoder, DetectorKind, build_cnn, build_dnn, build_lstm,
+                     check_cnn_bottleneck, check_dnn_n, check_lstm_n)
 from .nn.train import TrainConfig
 from .rng import derive_seed
 from .signal import (FEATURE_SET_ORDER, WINDOW_SIZE, FeatureSetId, Normalizer,
@@ -64,6 +65,14 @@ class DetectorSpec:
 
     def validate(self):
         check_finite(self)
+        if self.kind is DetectorKind.DNN:
+            check_dnn_n(self.n)
+        elif self.kind is DetectorKind.LSTM:
+            check_lstm_n(self.n)
+        elif self.kind is DetectorKind.CNN:
+            check_cnn_bottleneck(self.cnn_bottleneck)
+        elif self.kind is DetectorKind.BM_PCA:
+            baseline.check_variance_target(self.variance_target, ConfigError)
         if self.train is not None:
             self.train.validate()
 

@@ -52,6 +52,24 @@ CNN_FILTERS = (16, 32, 64, 128)
 DNN_N_RANGE = (64, 200)
 
 
+# The size checks of the recipes, also run by DetectorSpec.validate so that
+# a config is refused before anything is generated, fitted or written.
+def check_dnn_n(n):
+    lo, hi = DNN_N_RANGE
+    if not lo <= n <= hi:
+        raise ConfigError(f"DNN n must be in [{lo}, {hi}], got {n}")
+
+
+def check_lstm_n(n):
+    if n < LSTM_FLOOR:
+        raise ConfigError(f"LSTM n must be >= {LSTM_FLOOR}, got {n}")
+
+
+def check_cnn_bottleneck(bottleneck):
+    if bottleneck < 1:
+        raise ConfigError(f"CNN cnn_bottleneck must be >= 1, got {bottleneck}")
+
+
 def _width(v):
     return max(1, round_half_up(v))
 
@@ -133,17 +151,14 @@ def build_dnn(x, n=150, seed=0) -> Autoencoder:
     if x < 1 or x % WINDOW_SIZE != 0:
         raise ConfigError(f"x must be a positive multiple of the window size "
                           f"{WINDOW_SIZE}, got {x}")
-    lo, hi = DNN_N_RANGE
-    if not lo <= n <= hi:
-        raise ConfigError(f"DNN n must be in [{lo}, {hi}], got {n}")
+    check_dnn_n(n)
     net = _dnn_network(x, n).initialize(seed)
     return Autoencoder(DetectorKind.DNN, net, x // WINDOW_SIZE)
 
 
 def build_lstm(n=150, timesteps=WINDOW_SIZE, channels=1, seed=0) -> Autoencoder:
     """Recurrent recipe; input (timesteps, channels) per window."""
-    if n < LSTM_FLOOR:
-        raise ConfigError(f"LSTM n must be >= {LSTM_FLOOR}, got {n}")
+    check_lstm_n(n)
     units = lstm_units(n)
     layers = [
         nn.LSTM(channels, units[0], return_sequences=True),
@@ -165,8 +180,7 @@ def build_cnn(timesteps=WINDOW_SIZE, channels=1, bottleneck=32, seed=0) -> Autoe
     """Convolutional recipe; input (timesteps, channels) per window."""
     if timesteps % 16 != 0:
         raise ConfigError(f"timesteps must be divisible by 16, got {timesteps}")
-    if bottleneck < 1:
-        raise ConfigError("bottleneck must be >= 1")
+    check_cnn_bottleneck(bottleneck)
     f1, f2, f3, f4 = CNN_FILTERS
     t4 = timesteps // 16
     layers = [

@@ -15,17 +15,26 @@ from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    # SplitMix64 finaliser; uint64 arithmetic wraps mod 2**64.
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix(z):
+    """SplitMix64 finaliser on a Python int below 2**64 or a uint64 array.
+
+    An array is overwritten: working in place avoids a temporary per step.
+    The masks keep Python ints to 64 bits; uint64 arrays wrap by themselves.
+    """
+    z ^= z >> 30
+    z *= _MIX1
+    z &= _MASK
+    z ^= z >> 27
+    z *= _MIX2
+    z &= _MASK
+    z ^= z >> 31
+    return z
 
 
 def derive_seed(seed: int, *tags) -> int:
@@ -33,50 +42,57 @@ def derive_seed(seed: int, *tags) -> int:
 
     Tags may be ints or strings; strings are folded in bytewise.  Used to
     give each sample / layer / purpose its own stream without coordination.
+    Folding is sequential, so ``derive_seed(derive_seed(s, a), b)`` equals
+    ``derive_seed(s, a, b)``.
     """
-    state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        for tag in tags:
-            if isinstance(tag, str):
-                for b in tag.encode("utf-8"):
-                    state = _mix((state + _GOLDEN) ^ np.uint64(b))
-            else:
-                state = _mix((state + _GOLDEN) ^ np.uint64(int(tag) & 0xFFFFFFFFFFFFFFFF))
-    return int(state)
+    state = int(seed) & _MASK
+    for tag in tags:
+        if isinstance(tag, str):
+            for b in tag.encode("utf-8"):
+                state = _mix((state + _GOLDEN & _MASK) ^ b)
+        else:
+            state = _mix((state + _GOLDEN & _MASK) ^ (int(tag) & _MASK))
+    return state
 
 
 class SplitMix64:
-    """Counter-based SplitMix64 stream.
+    """Counter-based SplitMix64 stream, or a block of streams drawn together.
 
-    ``raw(n)`` returns the next ``n`` 64-bit outputs; everything else is
-    built on top of it.  Equal ``(seed, call sequence)`` gives bit-equal
-    results on every platform.
+    ``SplitMix64(seed)`` is one stream: ``raw(n)`` returns its next ``n``
+    64-bit outputs, and everything else is built on top of it.
+    ``SplitMix64([seed, ...])`` is one stream per seed: ``raw``,
+    ``uniforms`` and ``normals`` return one row per seed, bit-equal to what
+    that seed's own stream returns for the same call sequence; ``below``,
+    ``shuffle`` and ``permutation`` need a single stream.  Equal ``(seed,
+    call sequence)`` gives bit-equal results on every platform.
     """
 
-    def __init__(self, seed: int):
-        self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    def __init__(self, seed):
+        if isinstance(seed, (int, np.integer)):
+            self._seed = np.uint64(int(seed) & _MASK)
+        else:
+            self._seed = np.array([int(s) & _MASK for s in seed], dtype=np.uint64)[:, None]
         self._counter = 0
 
     def raw(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            return _mix(self._seed + idx * _GOLDEN)
+        return _mix(self._seed + idx * _GOLDEN)
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1), using the top 53 bits."""
-        return (self.raw(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        return (self.raw(n) >> 11).astype(np.float64) * (2.0 ** -53)
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normal doubles via the Box-Muller transform."""
         m = (n + 1) // 2
         # u1 in (0, 1] so the log is always finite.
-        u1 = ((self.raw(m) >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+        u1 = ((self.raw(m) >> 11).astype(np.float64) + 1.0) * (2.0 ** -53)
         u2 = self.uniforms(m)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-        return out[:n]
+        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        return out[..., :n]
 
     def below(self, bound: int) -> int:
         """One integer in [0, bound) via floor(u * bound)."""

@@ -217,6 +217,28 @@ def test_bad_input_file_exits_2_naming_the_file_or_key(tmp_path, capsys, build, 
     assert err.startswith("error:") and needle in err
 
 
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+@pytest.mark.parametrize("detector, needle", [
+    ({"kind": "dnn", "n": 300}, "DNN n must be"),
+    ({"kind": "lstm", "n": 8}, "LSTM n must be"),
+    ({"kind": "cnn", "cnn_bottleneck": 0}, "cnn_bottleneck"),
+    ({"kind": "bm_pca", "variance_target": 1.5}, "variance_target"),
+], ids=["dnn-n", "lstm-n", "cnn-bottleneck", "pca-variance-target"])
+def test_bad_detector_size_exits_2_before_writing(dataset_file, tmp_path, capsys,
+                                                 command, detector, needle):
+    outdir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": {"load": str(dataset_file)},
+                                    "feature_sets": ["vib1d", "audio"],
+                                    "detectors": ["bm_iqr", detector],
+                                    "output_dir": str(outdir)}))
+    assert main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert not (outdir / "artifacts").exists()
+    assert not list(tmp_path.glob("**/timeline_*.csv"))
+
+
 def test_missing_config_file_exits_2_naming_it(tmp_path, capsys):
     path = tmp_path / "nope.json"
     assert main(["run", "--config", str(path)]) == 2

@@ -7,14 +7,18 @@ residual without reusing any generator code.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pumpwatch.dataset import (CHANNEL_LENGTH, CHANNELS, Dataset, GeneratorConfig,
-                               OPERATING_FREQS_HZ, SensorSample, SplitSpec,
-                               generate_synthetic, load_dataset, save_dataset, split)
+from pumpwatch.dataset import (CHANNEL_LENGTH, CHANNELS, GENERATE_BLOCK, Dataset,
+                               GeneratorConfig, OPERATING_FREQS_HZ, SensorSample,
+                               SplitSpec, generate_synthetic, load_dataset,
+                               save_dataset, split)
 from pumpwatch.errors import ConfigError, DatasetFormatError, SplitError
+from pumpwatch.rng import SplitMix64, derive_seed
+from pumpwatch.util import round_half_up
 
 
 def _fit_tone(x, freq_hz, rate_hz, harmonics=(1,)):
@@ -107,6 +111,72 @@ def test_anomaly_noise_gain_is_exact_doubling():
         assert sh.operating_freq_hz == sa.operating_freq_hz
         for name in CHANNELS:
             assert np.array_equal(sa.channel(name), 2.0 * sh.channel(name))
+
+
+def _reference_samples(cfg):
+    """The dataset built one sample and one stream at a time, as docs/prng.md
+    specifies: yields (freq, is_anomaly, temperature, channels) per sample."""
+    schedule = []
+    for freq in OPERATING_FREQS_HZ:
+        n = cfg.n_samples_per_condition
+        n_anom = round_half_up(cfg.anomaly_fraction * n)
+        schedule += [(freq, True)] * n_anom + [(freq, False)] * (n - n_anom)
+    SplitMix64(derive_seed(cfg.seed, "schedule")).shuffle(schedule)
+    for i, (freq, is_anom) in enumerate(schedule):
+        chans = {}
+        for ci, (name, rate) in enumerate(CHANNELS.items()):
+            t = np.arange(CHANNEL_LENGTH, dtype=np.float64) / rate
+            phases = 2.0 * np.pi * SplitMix64(
+                derive_seed(cfg.seed, "phase", i, ci)).uniforms(cfg.harmonic_count)
+            sig = np.zeros(CHANNEL_LENGTH)
+            for h in range(1, cfg.harmonic_count + 1):
+                amp = cfg.base_amplitude / h
+                if is_anom and h == 2:
+                    amp *= cfg.anomaly_harmonic_gain
+                sig += amp * np.sin(2.0 * np.pi * h * freq * t + phases[h - 1])
+            std = cfg.noise_std * (cfg.anomaly_noise_gain if is_anom else 1.0)
+            if std > 0:
+                sig = sig + std * SplitMix64(
+                    derive_seed(cfg.seed, "noise", i, ci)).normals(CHANNEL_LENGTH)
+            chans[name] = sig
+        temp = SplitMix64(derive_seed(cfg.seed, "temp", i)).normals(1)[0]
+        yield freq, is_anom, 40.0 + 0.002 * i + 0.05 * temp, chans
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(noise_std=0.0),
+    dict(harmonic_count=1),
+    dict(harmonic_count=5),
+    dict(anomaly_fraction=0.0),
+    dict(anomaly_fraction=1.0),
+    dict(seed=2**63 + 5),
+    dict(n_samples_per_condition=GENERATE_BLOCK // 5 + 3, anomaly_noise_gain=1.4,
+         base_amplitude=0.25, noise_std=0.5, anomaly_harmonic_gain=1.05),
+], ids=["no-noise", "one-harmonic", "five-harmonics", "no-anomalies",
+        "all-anomalies", "seed-above-2**63", "more-than-one-block"])
+def test_generator_equals_per_sample_reference(overrides):
+    cfg = GeneratorConfig(**{"n_samples_per_condition": 2, "seed": 8, **overrides})
+    ds = generate_synthetic(cfg)
+    ref = list(_reference_samples(cfg))
+    assert len(ds) == len(ref)
+    for s, (freq, is_anom, temp, chans) in zip(ds, ref):
+        assert (s.operating_freq_hz, s.is_anomaly) == (freq, is_anom)
+        assert float(s.temperature).hex() == float(temp).hex()
+        for name in CHANNELS:
+            assert s.channel(name).tobytes() == chans[name].tobytes(), name
+
+
+def test_generator_memory_is_bounded_by_its_output():
+    # samples are drawn in fixed blocks, so transient arrays do not grow
+    # with the dataset; drawing all samples at once peaked at 2x the output
+    tracemalloc.start()
+    try:
+        ds = generate_synthetic(GeneratorConfig(n_samples_per_condition=100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    channel_bytes = sum(s.channel(name).nbytes for s in ds for name in CHANNELS)
+    assert peak <= 1.25 * channel_bytes
 
 
 def test_generator_config_validation():

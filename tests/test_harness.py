@@ -141,6 +141,38 @@ def test_non_finite_config_numbers_are_config_errors(tmp_path, slot, value, name
     assert not outdir.exists()  # refused before any dataset or model
 
 
+@pytest.mark.parametrize("detector, needle", [
+    ({"kind": "dnn", "n": 300}, r"DNN n must be in \[64, 200\], got 300"),
+    ({"kind": "dnn", "n": 63}, "DNN n must be in"),
+    ({"kind": "lstm", "n": 8}, "LSTM n must be >= 16, got 8"),
+    ({"kind": "cnn", "cnn_bottleneck": 0}, "cnn_bottleneck must be >= 1, got 0"),
+    ({"kind": "bm_pca", "variance_target": 1.5}, r"variance_target must be in \(0, 1\]"),
+    ({"kind": "bm_pca", "variance_target": 0.0}, "variance_target must be in"),
+], ids=["dnn-n-high", "dnn-n-low", "lstm-n", "cnn-bottleneck", "pca-target-high",
+        "pca-target-zero"])
+def test_detector_sizes_are_checked_by_validate(tmp_path, detector, needle):
+    # a bad size used to surface only when its combination was built, after
+    # the earlier combinations had been fitted and written
+    outdir = tmp_path / "out"
+    cfg = config_from_dict({"dataset": {"generate": {"n_samples_per_condition": 4}},
+                            "detectors": ["bm_iqr", detector],
+                            "feature_sets": ["vib1d", "audio"],
+                            "output_dir": str(outdir)})
+    with pytest.raises(ConfigError, match=needle):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=needle):
+        run_experiment(cfg)
+    assert not outdir.exists()
+
+
+def test_detector_size_checks_ignore_other_kinds_fields():
+    # n, cnn_bottleneck and variance_target each bound only their own kind
+    DetectorSpec(kind=DetectorKind.BM_IQR, n=1, cnn_bottleneck=0,
+                 variance_target=5.0).validate()
+    DetectorSpec(kind=DetectorKind.CNN, n=1, variance_target=0.0).validate()
+    DetectorSpec(kind=DetectorKind.LSTM, n=500, cnn_bottleneck=0).validate()
+
+
 def test_parse_feature_sets():
     assert parse_feature_sets("all") == list(FEATURE_SET_ORDER)
     assert parse_feature_sets(["vib3d", "audio"]) == [FeatureSetId.VIB3D,

@@ -121,6 +121,22 @@ def test_shuffle_equals_per_element_below(n):
         assert np.array_equal(rng.raw(2), ref_rng.raw(2))
 
 
+@pytest.mark.parametrize("seeds", [[5], [0, 1, 2**63, _M, 2**63 + 5, 42, 7]])
+def test_block_rows_equal_single_streams(seeds):
+    # a block of streams shares one counter; each row must be bit-equal to
+    # its seed's own stream over the same call sequence, odd normals included
+    calls = [("uniforms", 3), ("normals", 1024), ("normals", 1), ("raw", 5),
+             ("normals", 7), ("uniforms", 1)]
+    block = SplitMix64(seeds)
+    singles = [SplitMix64(s) for s in seeds]
+    for name, n in calls:
+        rows = getattr(block, name)(n)
+        assert rows.shape == (len(seeds), n)
+        for row, single in zip(rows, singles):
+            want = getattr(single, name)(n)
+            assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+
+
 def test_permutation_is_valid_and_deterministic():
     p = SplitMix64(2).permutation(50)
     q = SplitMix64(2).permutation(50)
@@ -137,7 +153,8 @@ def test_permutation_roughly_uniform():
     assert len(seen) == 24
 
 
-@pytest.mark.parametrize("tags", [(1,), (0, 1), ("split", 50), ("a", "b"), (2**62, "x")])
+@pytest.mark.parametrize("tags", [(1,), (0, 1), ("split", 50), ("a", "b"), (2**62, "x"),
+                                  (-1,), ("phase", 3, 2), ("tëmp", _M)])
 def test_derive_seed_matches_reference(tags):
     assert derive_seed(1234, *tags) == _derive_ref(1234, *tags)
 
@@ -159,3 +176,11 @@ def test_derive_seed_separates_streams():
 def test_derive_seed_order_sensitive():
     assert derive_seed(5, "a", "b") != derive_seed(5, "b", "a")
     assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 99, 2**63 + 5, _M])
+def test_derive_seed_folds_tags_in_sequence(seed):
+    # the generator derives each sample's seed from a per-purpose root
+    root = derive_seed(seed, "phase")
+    assert derive_seed(root, 3, 2) == derive_seed(seed, "phase", 3, 2)
+    assert derive_seed(seed + 2**64, "phase") == root
