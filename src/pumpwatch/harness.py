@@ -1,33 +1,34 @@
 """End-to-end experiment pipeline: dataset -> features -> detectors -> report.
 
-One experiment runs a grid of (detector, feature set) combinations over a
-single dataset split.  Per feature set the normalizer is fitted on the
-healthy train split only and the windows are computed once, shared by all
-detectors.  Per combination the detector is fitted on train windows, the
-vote threshold is calibrated on the held-out healthy threshold split, and
-metrics are computed on the eval split.
+An experiment runs a grid of (detector, feature set) combinations over one
+dataset split, in stages that return values:
 
-Three entry points share the pipeline: ``run_experiment`` does everything,
-``train_experiment`` stops after writing the fitted artifacts, and
-``evaluate_experiment`` loads previously written artifacts instead of
-fitting, then scores and reports.  Every fitted model scores windows with
-``window_errors`` and round-trips through ``save``/``load``; the detector
-kind the config names, not the artifact file, decides which class loads
-it.  Only fitting creates directories under artifacts/.
+- prepare: the dataset's train, threshold and eval splits;
+- features: per feature set, each split's normalized windows, shared by all
+  detectors; the normalizer is fitted on the healthy train split or loaded;
+- fit or load: per combination, a model fitted on the train windows and a
+  threshold calibrated on the healthy threshold split, or both loaded;
+- score: one (samples, windows) error matrix per split, each scored once;
+- decide: per split, each sample's majority-vote flag and timeline entry;
+  the eval split's metrics;
+- write: the only stage that writes files.  It runs once every combination
+  is done, so a failing call writes nothing.
 
-Everything written to the output directory is byte-deterministic for a
-given config except runtimes.json, which holds the measured wall-clock
-seconds per combination and is deliberately kept out of the report files.
+``run_experiment`` fits and decides, ``train_experiment`` fits and scores
+only the threshold split, and ``evaluate_experiment`` loads and decides.
+Each combination yields one ``Combination`` record, its report row, and the
+write stage reads nothing else: ``model`` and ``normalizer`` if the call
+fitted them, ``metrics``, ``flags`` and ``timeline`` if it decided, and
+``seconds`` from fit or load to decide.  A model is loaded by the kind the
+config names.  Every file but runtimes.json is byte-deterministic.
 
-Output layout:
-    config_resolved.json            full config echo
-    report.json / report.txt / report.csv
-    runtimes.json                   wall clock per combination (not deterministic)
-    timeline_{detector}_{featureset}.csv
-    artifacts/{featureset}/normalizer.json
-    artifacts/{detector}_{featureset}/threshold.json plus model.json (DNN,
-        LSTM, CNN), pca.json (mean, components, k, explained_variance_ratio)
-        or iqr.json (means, iqrs)
+Output files, and the records they are written from:
+    config_resolved.json, runtimes.json     every call; each record's seconds
+    report.json / report.txt / report.csv   decided records
+    timeline_{detector}_{featureset}.csv    a decided record's timeline
+    artifacts/{featureset}/normalizer.json  a fitted normalizer
+    artifacts/{detector}_{featureset}/      a fitted record: threshold.json
+        and the model file that ``DetectorKind.artifact`` names
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .nn.train import TrainConfig
 from .rng import derive_seed
 from .signal import (FEATURE_SET_ORDER, WINDOW_SIZE, FeatureSetId, Normalizer,
                      apply_normalizer, assemble_features, channel_count,
-                     fit_normalizer, window)
+                     feature_length, fit_normalizer, window)
 from .util import check_finite, dataclass_from_dict, read_json, typed_value, write_json
 
 
@@ -123,18 +124,28 @@ class TimelineEntry:
 
 
 @dataclass
-class ReportRow:
+class Combination:
+    """What one (detector, feature set) combination did; see the module docstring."""
     detector: DetectorSpec
     feature_set: FeatureSetId
-    metrics: detect.Metrics
     threshold: detect.Threshold
+    metrics: Optional[detect.Metrics] = None
+    model: object = None
+    normalizer: Optional[Normalizer] = None
+    flags: Dict[str, List[bool]] = field(default_factory=dict)
+    timeline: List[TimelineEntry] = field(default_factory=list)
+    seconds: float = 0.0
 
 
 @dataclass
 class ExperimentReport:
-    rows: List[ReportRow]
-    timelines: Dict[Tuple[str, str], List[TimelineEntry]]
+    rows: List[Combination]
     config: dict
+
+    @property
+    def timelines(self) -> Dict[Tuple[str, str], List[TimelineEntry]]:
+        """Each row's timeline by (detector kind name, feature set name)."""
+        return {(r.detector.kind.name, r.feature_set.name): r.timeline for r in self.rows}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -146,7 +157,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
-
     dsrc = typed_value(doc.get("dataset", {}), dict, "dataset")
     extra = set(dsrc) - {"generate", "load"}
     if extra:
@@ -157,13 +167,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                                            "dataset.generate")
     if "load" in dsrc:
         cfg.load = typed_value(dsrc["load"], str, "dataset.load")
-
     sp = doc.get("split", {})
     cfg.split = dataclass_from_dict(SplitSpec, sp, "split", skip=("seed",))
     cfg.split_seed = typed_value(sp.get("seed", 0), int, "split.seed")
-
     cfg.feature_sets = parse_feature_sets(doc.get("feature_sets", "all"))
-
     cfg.detectors = [parse_detector(d)
                      for d in typed_value(doc.get("detectors", []), list, "detectors")]
     cfg.train = dataclass_from_dict(TrainConfig, doc.get("train", {}), "train")
@@ -179,14 +186,11 @@ def parse_feature_sets(value) -> List[FeatureSetId]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ConfigError(f'feature_sets must be "all", a string or a list of '
                           f"strings, got {value!r:.40}")
-    out = []
-    for name in value:
-        try:
-            out.append(FeatureSetId[name.upper()])
-        except KeyError:
-            raise ConfigError(f"unknown feature set {name!r}; choose from "
-                              f"{[fs.name for fs in FEATURE_SET_ORDER]}")
-    return out
+    unknown = [name for name in value if name.upper() not in FeatureSetId.__members__]
+    if unknown:
+        raise ConfigError(f"unknown feature set {unknown[0]!r}; choose from "
+                          f"{[fs.name for fs in FEATURE_SET_ORDER]}")
+    return [FeatureSetId[name.upper()] for name in value]
 
 
 def parse_detector(value) -> DetectorSpec:
@@ -219,9 +223,26 @@ def resolved_config_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _prepare(cfg: ExperimentConfig, dataset: Optional[Dataset]):
+    """Prepare stage: the train, threshold and eval splits of the dataset."""
+    cfg.validate()
+    if dataset is None:
+        dataset = (load_dataset(cfg.load) if cfg.load is not None
+                   else generate_synthetic(cfg.generate))
+    parts = split(dataset, cfg.split, cfg.split_seed)
+    return dict(zip(("train", "threshold", "eval"), parts))
+
+
+def _features(fs: FeatureSetId, splits, normalizer):
+    """Features stage: ``normalizer(fs, features)`` and each split's windows."""
+    feats = {name: assemble_features(part, fs) for name, part in splits.items()}
+    nz = normalizer(fs, feats)
+    return nz, {name: window(apply_normalizer(nz, values)) for name, values in feats.items()}
+
+
 def _fit_detector(det: DetectorSpec, fs: FeatureSetId, train: np.ndarray,
                   traincfg: TrainConfig):
-    """Fit one detector on the train windows; returns the fitted model."""
+    """Fit stage: one detector fitted on the train windows."""
     if det.kind is DetectorKind.BM_PCA:
         return baseline.pca_fit(baseline.flat_windows(train),
                                 variance_target=det.variance_target)
@@ -240,7 +261,7 @@ def _fit_detector(det: DetectorSpec, fs: FeatureSetId, train: np.ndarray,
 
 
 def _load_detector(kind: DetectorKind, fs: FeatureSetId, combo_dir: Path):
-    """The model ``_fit_detector`` saved in ``combo_dir``."""
+    """Load stage: the model the write stage saved in ``combo_dir``."""
     path = combo_dir / kind.artifact
     if kind is DetectorKind.BM_PCA:
         return baseline.PcaModel.load(path)
@@ -249,147 +270,144 @@ def _load_detector(kind: DetectorKind, fs: FeatureSetId, combo_dir: Path):
     return Autoencoder.load(path, kind, channel_count(fs))
 
 
-def run_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> ExperimentReport:
-    """Fit, evaluate and report the whole grid.
+def _score(model, fs: FeatureSetId, windows) -> Dict[str, np.ndarray]:
+    """Score stage: each split's (samples, windows) matrix of window errors."""
+    per_sample = feature_length(fs) // WINDOW_SIZE
+    return {name: model.window_errors(w).reshape(-1, per_sample)
+            for name, w in windows.items()}
 
-    ``dataset`` overrides the config's dataset source when given (used by
-    tests that need to hand in an in-memory dataset).
-    """
-    return _pipeline(cfg, dataset, do_fit=True, do_eval=True)
+
+def _decide(combo: Combination, splits, errors) -> Combination:
+    """Decide stage: each sample's flag and timeline entry, and the eval metrics."""
+    th = combo.threshold
+    flags, entries = {}, []
+    for name, part in splits.items():
+        # One classify call per sample: the traced benchmark counts the calls.
+        flags[name] = [bool(detect.classify(row, th)[1]) for row in errors[name]]
+        scores = detect.make_score(errors[name]).tolist()
+        entries += [TimelineEntry(s.sample_id, s.timestamp, score, th.value, flagged,
+                                  s.is_anomaly, name)
+                    for s, score, flagged in zip(part, scores, flags[name])]
+    entries.sort(key=lambda e: (e.timestamp, e.sample_id))
+    metrics = detect.evaluate(flags["eval"], [s.is_anomaly for s in splits["eval"]])
+    return dataclasses.replace(combo, metrics=metrics, flags=flags, timeline=entries)
+
+
+def _grid(cfg: ExperimentConfig, splits, normalizer, combination) -> List[Combination]:
+    """Each ``combination(det, fs, normalizer, windows)``, timed and named."""
+    combos = []
+    for fs in cfg.feature_sets:
+        nz, windows = _features(fs, splits, normalizer)
+        for det in cfg.detectors:
+            started = time.perf_counter()
+            try:
+                combo = combination(det, fs, nz, windows)
+            except PumpwatchError as e:
+                raise type(e)(f"{det.kind.name} on {fs.name}: {e}")
+            combos.append(dataclasses.replace(combo, seconds=time.perf_counter() - started))
+    return combos
+
+
+def run_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> ExperimentReport:
+    """Fit, evaluate and report the whole grid."""
+    splits = _prepare(cfg, dataset)
+
+    def combination(det, fs, nz, windows):
+        model = _fit_detector(det, fs, windows["train"], det.train or cfg.train)
+        errors = _score(model, fs, windows)
+        th = detect.calibrate_threshold(errors["threshold"].ravel())
+        return _decide(Combination(det, fs, th, model=model, normalizer=nz), splits, errors)
+
+    return _write(cfg, _grid(cfg, splits, lambda fs, feats: fit_normalizer(feats["train"]),
+                             combination))
 
 
 def train_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> None:
     """Fit all combinations and write artifacts; no evaluation or report."""
-    _pipeline(cfg, dataset, do_fit=True, do_eval=False)
+    splits = _prepare(cfg, dataset)
+    del splits["eval"]  # no eval features are built
+
+    def combination(det, fs, nz, windows):
+        model = _fit_detector(det, fs, windows["train"], det.train or cfg.train)
+        errors = _score(model, fs, {"threshold": windows["threshold"]})
+        th = detect.calibrate_threshold(errors["threshold"].ravel())
+        return Combination(det, fs, th, model=model, normalizer=nz)
+
+    _write(cfg, _grid(cfg, splits, lambda fs, feats: fit_normalizer(feats["train"]),
+                      combination))
 
 
 def evaluate_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> ExperimentReport:
     """Score and report using artifacts a previous train/run left behind."""
-    return _pipeline(cfg, dataset, do_fit=False, do_eval=True)
+    splits = _prepare(cfg, dataset)
+    artifacts = Path(cfg.output_dir) / "artifacts"
+
+    def combination(det, fs, nz, windows):
+        combo_dir = artifacts / f"{det.kind.value}_{fs.value}"
+        model = _load_detector(det.kind, fs, combo_dir)
+        th = detect.Threshold.load(combo_dir / "threshold.json")
+        return _decide(Combination(det, fs, th), splits, _score(model, fs, windows))
+
+    return _write(cfg, _grid(cfg, splits, lambda fs, _: Normalizer.load(
+        artifacts / fs.value / "normalizer.json"), combination))
 
 
-def _pipeline(cfg, dataset, do_fit, do_eval):
-    cfg.validate()
-    if dataset is not None:
-        ds = dataset
-    elif cfg.load is not None:
-        ds = load_dataset(cfg.load)
-    else:
-        ds = generate_synthetic(cfg.generate)
-    splits = dict(zip(("train", "threshold", "eval"),
-                      split(ds, cfg.split, cfg.split_seed)))
-
+def _write(cfg: ExperimentConfig, combos: List[Combination]) -> Optional[ExperimentReport]:
+    """Write stage: every file of the output directory, from the records alone."""
     outdir = Path(cfg.output_dir)
+    artifacts = outdir / "artifacts"
     outdir.mkdir(parents=True, exist_ok=True)
     resolved = resolved_config_dict(cfg)
     write_json(resolved, outdir / "config_resolved.json")
-
-    # Only the splits this entry point fits on or scores: train_experiment
-    # never touches the eval split.
-    used = list(splits) if do_eval else ["train", "threshold"]
-    rows = []
-    timelines = {}
-    runtimes = {}
-    for fs in cfg.feature_sets:
-        feats = {name: assemble_features(splits[name], fs) for name in used}
-        fs_dir = outdir / "artifacts" / fs.value
-        if do_fit:
-            nz = fit_normalizer(feats["train"])
-            fs_dir.mkdir(parents=True, exist_ok=True)
-            nz.save(fs_dir / "normalizer.json", feature_set=fs.name)
-        else:
-            nz = Normalizer.load(fs_dir / "normalizer.json")
-        arrays = {name: window(apply_normalizer(nz, values))
-                  for name, values in feats.items()}
-
-        for det in cfg.detectors:
-            started = time.perf_counter()
-            combo_tag = f"{det.kind.value}_{fs.value}"
-            combo_dir = outdir / "artifacts" / combo_tag
-            try:
-                if do_fit:
-                    model = _fit_detector(det, fs, arrays["train"],
-                                          det.train or cfg.train)
-                    combo_dir.mkdir(exist_ok=True)
-                    model.save(combo_dir / det.kind.artifact)
-                else:
-                    model = _load_detector(det.kind, fs, combo_dir)
-                    th = detect.Threshold.load(combo_dir / "threshold.json")
-                scores = {name: model.window_errors(arrays[name])
-                          for name in (splits if do_eval else ["threshold"])}
-                if do_fit:
-                    th = detect.calibrate_threshold(scores["threshold"])
-                    th.save(combo_dir / "threshold.json")
-            except PumpwatchError as e:
-                raise type(e)(f"{det.kind.name} on {fs.name}: {e}")
-            if not do_eval:
-                runtimes[f"{det.kind.name}/{fs.name}"] = time.perf_counter() - started
-                continue
-
-            flags = {}
-            entries = []
-            for name, part in splits.items():
-                flags[name] = []
-                if not len(part):
-                    continue
-                # One row of window errors per sample, in split order.
-                errs = scores[name].reshape(len(part), -1)
-                sample_scores = detect.make_score(errs).tolist()
-                for sample, row, score in zip(part, errs, sample_scores):
-                    # One vote per sample: the traced benchmark counts
-                    # detect.classify calls as classified samples.
-                    flagged = bool(detect.classify(row, th)[1])
-                    flags[name].append(flagged)
-                    entries.append(TimelineEntry(
-                        sample_id=sample.sample_id, timestamp=sample.timestamp,
-                        score=score, threshold=th.value, flagged=flagged,
-                        truth=sample.is_anomaly, split=name))
-            entries.sort(key=lambda e: (e.timestamp, e.sample_id))
-            metrics = detect.evaluate(flags["eval"],
-                                      [s.is_anomaly for s in splits["eval"]])
-
-            runtimes[f"{det.kind.name}/{fs.name}"] = time.perf_counter() - started
-            timelines[(det.kind.name, fs.name)] = entries
-            rows.append(ReportRow(detector=det, feature_set=fs, metrics=metrics,
-                                  threshold=th))
-            _write_timeline_csv(entries, outdir / f"timeline_{combo_tag}.csv")
-
-    write_json(runtimes, outdir / "runtimes.json")
-    if not do_eval:
+    fitted = {c.feature_set: c.normalizer for c in combos if c.normalizer is not None}
+    for fs, nz in fitted.items():
+        (artifacts / fs.value).mkdir(parents=True, exist_ok=True)
+        nz.save(artifacts / fs.value / "normalizer.json", feature_set=fs.name)
+    for c in combos:
+        tag = f"{c.detector.kind.value}_{c.feature_set.value}"
+        if c.model is not None:
+            (artifacts / tag).mkdir(exist_ok=True)
+            c.model.save(artifacts / tag / c.detector.kind.artifact)
+            c.threshold.save(artifacts / tag / "threshold.json")
+        if c.metrics is not None:
+            (outdir / f"timeline_{tag}.csv").write_text("".join(
+                ["sample_id,timestamp,score,threshold,flagged,truth,split\n"]
+                + [f"{e.sample_id},{float(e.timestamp)!r},{float(e.score)!r},"
+                   f"{float(e.threshold)!r},{str(e.flagged).lower()},"
+                   f"{str(e.truth).lower()},{e.split}\n" for e in c.timeline]))
+    write_json({f"{c.detector.kind.name}/{c.feature_set.name}": c.seconds for c in combos},
+               outdir / "runtimes.json")
+    if any(c.metrics is None for c in combos):
         return None
-    report = ExperimentReport(rows=rows, timelines=timelines, config=resolved)
+    report = ExperimentReport(rows=combos, config=resolved)
     text, csv_text = render_tables(report)
     (outdir / "report.txt").write_text(text)
     (outdir / "report.csv").write_text(csv_text)
-    write_json(_report_dict(report), outdir / "report.json")
+    write_json({"config": resolved,
+                "rows": [{"detector": c.detector.kind.name,
+                          "feature_set": c.feature_set.name,
+                          "metrics": dataclasses.asdict(c.metrics),
+                          "threshold": dataclasses.asdict(c.threshold)}
+                         for c in combos]}, outdir / "report.json")
     return report
-
-
-def _report_dict(report: ExperimentReport) -> dict:
-    return {"config": report.config,
-            "rows": [{"detector": r.detector.kind.name,
-                      "feature_set": r.feature_set.name,
-                      "metrics": dataclasses.asdict(r.metrics),
-                      "threshold": dataclasses.asdict(r.threshold)}
-                     for r in report.rows]}
 
 
 def load_report(path) -> ExperimentReport:
     """Rebuild a renderable report from a saved report.json."""
     doc = read_json(path)
     try:
-        rows = [ReportRow(detector=DetectorSpec(kind=DetectorKind[r["detector"]]),
-                          feature_set=FeatureSetId[r["feature_set"]],
-                          metrics=dataclass_from_dict(
-                              detect.Metrics, r["metrics"],
-                              f"metrics of row {i} in {path}", error=UsageError),
-                          threshold=dataclass_from_dict(
-                              detect.Threshold, r["threshold"],
-                              f"threshold of row {i} in {path}", error=UsageError))
+        rows = [Combination(DetectorSpec(DetectorKind[r["detector"]]),
+                            FeatureSetId[r["feature_set"]],
+                            dataclass_from_dict(detect.Threshold, r["threshold"],
+                                                f"threshold of row {i} in {path}",
+                                                error=UsageError),
+                            dataclass_from_dict(detect.Metrics, r["metrics"],
+                                                f"metrics of row {i} in {path}",
+                                                error=UsageError))
                 for i, r in enumerate(doc["rows"])]
     except (KeyError, TypeError) as e:
         raise UsageError(f"{path} is a malformed report: {e!r}")
-    return ExperimentReport(rows=rows, timelines={}, config=doc.get("config", {}))
+    return ExperimentReport(rows=rows, config=doc.get("config", {}))
 
 
 def _fmt2(v) -> str:
@@ -403,24 +421,19 @@ def render_tables(report: ExperimentReport):
     """Aligned text tables plus CSV, one block per detector.
 
     Rows follow the canonical feature-set order; metric columns are Acc.,
-    F1, P, R rounded to two decimals half-up, matching the precision used
-    in the comparison tables this layout mirrors.
+    F1, P, R rounded to two decimals half-up, as in the tables mirrored.
     """
     if not report.rows:
         raise UsageError("cannot render an empty report")
-    by_detector = {}
-    for row in report.rows:
-        by_detector.setdefault(row.detector.kind, []).append(row)
-
+    ordered = sorted(report.rows, key=lambda r: FEATURE_SET_ORDER.index(r.feature_set))
     width = max(len(fs.label) for fs in FEATURE_SET_ORDER) + 2
     text_lines = ["Results of anomaly prediction per feature set and model",
                   "(eval split; accuracy, F1, precision, recall)", ""]
     csv_lines = ["detector,feature_set,accuracy,f1,precision,recall"]
-    for kind, rows in by_detector.items():
-        ordered = [r for fs in FEATURE_SET_ORDER for r in rows if r.feature_set is fs]
+    for kind in dict.fromkeys(r.detector.kind for r in report.rows):
         text_lines.append(f"== {kind.label} ==")
         text_lines.append(f"{'Feature set':<{width}}{'Acc.':>6}{'F1':>6}{'P':>6}{'R':>6}")
-        for r in ordered:
+        for r in [row for row in ordered if row.detector.kind is kind]:
             m = r.metrics
             text_lines.append(f"{r.feature_set.label:<{width}}{_fmt2(m.accuracy):>6}"
                               f"{_fmt2(m.f1):>6}{_fmt2(m.precision):>6}{_fmt2(m.recall):>6}")
@@ -428,17 +441,4 @@ def render_tables(report: ExperimentReport):
                              f"{_fmt2(m.f1)},{_fmt2(m.precision)},{_fmt2(m.recall)}")
         text_lines.append("")
     return "\n".join(text_lines), "\n".join(csv_lines) + "\n"
-
-
-def _fmt_float(v) -> str:
-    return repr(float(v))
-
-
-def _write_timeline_csv(entries, path):
-    lines = ["sample_id,timestamp,score,threshold,flagged,truth,split"]
-    for e in entries:
-        lines.append(f"{e.sample_id},{_fmt_float(e.timestamp)},{_fmt_float(e.score)},"
-                     f"{_fmt_float(e.threshold)},{str(e.flagged).lower()},"
-                     f"{str(e.truth).lower()},{e.split}")
-    Path(path).write_text("\n".join(lines) + "\n")
 

@@ -100,17 +100,6 @@ class Autoencoder:
             return windows.reshape(len(windows), self.channels * WINDOW_SIZE)
         return windows.transpose(0, 2, 1)
 
-    def from_outputs(self, outputs: np.ndarray) -> np.ndarray:
-        if self.kind is DetectorKind.DNN:
-            return outputs.reshape(len(outputs), self.channels, WINDOW_SIZE)
-        return outputs.transpose(0, 2, 1)
-
-    def reconstruct(self, window: np.ndarray) -> np.ndarray:
-        """Forward one (channels, 64) window; output has the same shape."""
-        batch = self.to_inputs(np.asarray(window)[None])
-        out, _ = self.network.forward(batch, keep_caches=False)
-        return self.from_outputs(out)[0]
-
     def fit(self, windows: np.ndarray, cfg: nn.TrainConfig) -> nn.TrainResult:
         """Train on (count, channels, 64) windows, target = input."""
         return nn.train(self.network, self.to_inputs(windows), cfg)

@@ -17,9 +17,9 @@ Conventions shared by every layer:
   the gradient checker: the output is bit-identical, and the layer may
   skip keeping what only ``backward`` needs.  LSTM then reuses one slot of
   recurrent state for every time step instead of storing each step's
-  gates, cell state and tanh(cell state), and returns ``None`` as its
-  cache.  The other layers' caches are the input or shape they hold
-  anyway, so they ignore the flag.
+  gates and cell state, and returns ``None`` as its cache.  The other
+  layers' caches are the input or shape they hold anyway, so they ignore
+  the flag.
 - Parameters live in ``self.params()`` as named float64 arrays.  Optimizers
   update them in place, and the gradient checker shifts one entry at a
   time in place, so a layer derives nothing from them that outlives one
@@ -343,6 +343,9 @@ class LSTM(Layer):
     so that each step reads and writes contiguous (B, ...) slices; a
     batch-major slice [:, t] is strided and made elementwise ops several
     times slower.  The sequence output is a (B, T, units) view of it.
+    The cache holds the input, h, c and the activated gates of every step;
+    backward recomputes tanh(c_t) into one (B, u) buffer, by the same call
+    on the same input, so it needs no (T, B, u) buffer of its own.
     """
 
     def __init__(self, in_dim, units, return_sequences=True):
@@ -400,9 +403,9 @@ class LSTM(Layer):
         h_slots = time if keep_cache or self.return_sequences else 1
         gates = np.empty((slots, batch, 4 * u))
         cs = np.empty((slots, batch, u))
-        tanh_cs = np.empty((slots, batch, u))
         hs = np.empty((h_slots, batch, u))
         ig = np.empty((batch, u))
+        tc = np.empty((batch, u))
         h = np.zeros((batch, u))
         c = np.zeros((batch, u))
         for t in range(time):
@@ -422,16 +425,15 @@ class LSTM(Layer):
             np.multiply(a[:, :u], a[:, 2 * u:3 * u], out=ig)
             c_next += ig
             c = c_next
-            tc = tanh_cs[t % slots]
             np.tanh(c, out=tc)
             h = hs[t % h_slots]
             np.multiply(a[:, 3 * u:], tc, out=h)
         out = hs.transpose(1, 0, 2) if self.return_sequences else h
-        cache = (xt, hs, cs, gates, tanh_cs) if keep_cache else None
+        cache = (xt, hs, cs, gates) if keep_cache else None
         return out, cache
 
     def backward(self, grad, cache):
-        xt, hs, cs, gates, tcs = cache
+        xt, hs, cs, gates = cache
         if not gates.flags.writeable:
             raise UsageError(f"{self.describe()}: this cache was already consumed "
                              f"by a backward pass; run forward again")
@@ -454,13 +456,15 @@ class LSTM(Layer):
         # holding every dz and no (T, B, 4u) buffer is allocated.
         dc = np.zeros((batch, u))
         dtc = np.empty((batch, u))
+        tc = np.empty((batch, u))
         swap = np.empty((batch, u))
         deriv = np.empty((batch, 4 * u))
         Ut = self.U.T
         for t in range(time - 1, -1, -1):
             if self.return_sequences:
                 dh += grad_t[t]
-            a, tc = gates[t], tcs[t]
+            a = gates[t]
+            np.tanh(cs[t], out=tc)
             # dL/dc_t = dh * o * (1 - tanh(c)^2) + dc, with o * tanh(c) = h.
             np.multiply(hs[t], tc, out=dtc)
             np.subtract(a[:, 3 * u:], dtc, out=dtc)

@@ -48,8 +48,8 @@ class Network:
         recurrent state instead of every step's gates, and the caches that
         other layers return are dropped as soon as the next layer has run.
         ``caches`` is then None, large inference batches stay memory-flat,
-        and the output is bit-identical to the cached forward.  ``predict``,
-        the autoencoder's ``reconstruct`` and the gradient checker use it.
+        and the output is bit-identical to the cached forward.  ``predict``
+        and the gradient checker use it.
         """
         caches = [] if keep_caches else None
         for idx, layer in enumerate(self.layers):

@@ -84,14 +84,23 @@ class SplitMix64:
         return (self.raw(n) >> 11).astype(np.float64) * (2.0 ** -53)
 
     def normals(self, n: int) -> np.ndarray:
-        """``n`` standard normal doubles via the Box-Muller transform."""
+        """``n`` standard normal doubles via the Box-Muller transform, in place:
+        r * cos(theta), then r * sin(theta), with r = sqrt(-2 log(u1))."""
         m = (n + 1) // 2
+        bits = self.raw(m)
+        bits >>= 11
         # u1 in (0, 1] so the log is always finite.
-        u1 = ((self.raw(m) >> 11).astype(np.float64) + 1.0) * (2.0 ** -53)
-        u2 = self.uniforms(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        r = bits + 1.0
+        r *= 2.0 ** -53
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = self.uniforms(m)
+        theta *= 2.0 * np.pi
+        out = np.empty(r.shape[:-1] + (2 * m,))
+        for half, fn in ((out[..., :m], np.cos), (out[..., m:], np.sin)):
+            fn(theta, out=half)
+            half *= r
         return out[..., :n]
 
     def below(self, bound: int) -> int:

@@ -9,7 +9,8 @@ pair per channel pooled over all train samples and positions.  Windowing
 cuts each channel into contiguous 64-point slices.
 
 Features are whole-split arrays of shape (samples, channels, length), in
-the channel order ``channel_names`` gives.  Every step works on the array
+the channel order ``_BASES`` lists for the feature set; an FFT set keeps
+its raw set's order.  Every step works on the array
 at once; each output element is computed by the same floating-point
 operations the one-sample formula uses, so a split's features do not
 depend on which other samples share the array.  Windows of one split are
@@ -74,12 +75,6 @@ _BASES = {
 
 def _channels(fs: FeatureSetId) -> List[str]:
     return _BASES[fs.base][1]
-
-
-def channel_names(fs: FeatureSetId) -> List[str]:
-    """Channel names in the order of the feature array's channel axis."""
-    names = _channels(fs)
-    return ["fft_" + name for name in names] if fs.is_fft else list(names)
 
 
 def channel_count(fs: FeatureSetId) -> int:

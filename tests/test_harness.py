@@ -14,8 +14,8 @@ from pumpwatch.dataset import (Dataset, GeneratorConfig, SplitSpec,
                                generate_synthetic)
 from pumpwatch.dataset import split as split_dataset
 from pumpwatch.errors import CalibrationError, ConfigError, ShapeError, UsageError
-from pumpwatch.harness import (DetectorKind, DetectorSpec, ExperimentConfig,
-                               ExperimentReport, ReportRow, config_from_dict,
+from pumpwatch.harness import (Combination, DetectorKind, DetectorSpec,
+                               ExperimentConfig, ExperimentReport, config_from_dict,
                                evaluate_experiment, load_report, parse_detector,
                                parse_feature_sets, render_tables,
                                resolved_config_dict, run_experiment,
@@ -313,12 +313,25 @@ def test_artifacts_contain_no_non_finite_numbers(experiment):
         walk(json.loads(path.read_text()))
 
 
-def test_train_then_evaluate_reproduces_run(experiment, small_dataset, tmp_path):
-    _, run_report, _ = experiment
-    cfg = _experiment_config(tmp_path / "out")
+def test_train_then_evaluate_reproduces_run(small_dataset, tmp_path):
+    # every file run writes, byte for byte at the same path, but runtimes.json
+    outdir = tmp_path / "out"
+    cfg = _experiment_config(outdir)
+
+    def files():
+        return {p.relative_to(outdir): p.read_bytes() for p in outdir.rglob("*")
+                if p.is_file() and p.name != "runtimes.json"}
+
+    run_report = run_experiment(cfg, small_dataset)
+    ran = files()
+    shutil.rmtree(outdir)
     train_experiment(cfg, small_dataset)
-    assert not (tmp_path / "out" / "report.txt").exists()
+    assert not (outdir / "report.txt").exists()
     eval_report = evaluate_experiment(cfg, small_dataset)
+    evaluated = files()
+    assert evaluated.keys() == ran.keys()
+    for rel, data in ran.items():
+        assert evaluated[rel] == data, rel
     for a, b in zip(run_report.rows, eval_report.rows):
         assert (a.detector.kind, a.feature_set) == (b.detector.kind, b.feature_set)
         assert a.metrics == b.metrics
@@ -438,6 +451,8 @@ def test_empty_eval_split_is_a_usage_error(tmp_path):
     cfg = _one_detector_config(tmp_path / "out", gen)
     with pytest.raises(UsageError, match="at least one pair"):
         run_experiment(cfg)
+    assert not (tmp_path / "out").exists()  # a failing run writes nothing
+    train_experiment(cfg)  # train never reads the eval split
     with pytest.raises(UsageError, match="at least one pair"):
         evaluate_experiment(cfg)
 
@@ -469,10 +484,10 @@ def test_identical_configs_reproduce_output_bytes(tmp_path, small_dataset):
 # -------------------------------------------------------- rendering
 
 def _one_row_report(metrics):
-    row = ReportRow(detector=DetectorSpec(kind=DetectorKind.DNN),
-                    feature_set=FeatureSetId.VIB1D, metrics=metrics,
-                    threshold=detect.Threshold(1.0, 0.5, 0.25, 10))
-    return ExperimentReport(rows=[row], timelines={}, config={})
+    row = Combination(detector=DetectorSpec(kind=DetectorKind.DNN),
+                      feature_set=FeatureSetId.VIB1D, metrics=metrics,
+                      threshold=detect.Threshold(1.0, 0.5, 0.25, 10))
+    return ExperimentReport(rows=[row], config={})
 
 
 def test_fmt2_rounds_half_up():
@@ -507,11 +522,11 @@ def test_render_shows_perfect_scores_as_one_point_zero_zero():
 
 def test_render_orders_rows_canonically():
     metrics = detect.Metrics(1.0, 1.0, 1.0, 1.0, 1, 0, 1, 0)
-    rows = [ReportRow(detector=DetectorSpec(kind=DetectorKind.CNN),
-                      feature_set=fs, metrics=metrics,
-                      threshold=detect.Threshold(1.0, 0.5, 0.25, 10))
+    rows = [Combination(detector=DetectorSpec(kind=DetectorKind.CNN),
+                        feature_set=fs, metrics=metrics,
+                        threshold=detect.Threshold(1.0, 0.5, 0.25, 10))
             for fs in (FeatureSetId.FFT_VIB1D, FeatureSetId.VIB1D)]
-    text, _ = render_tables(ExperimentReport(rows=rows, timelines={}, config={}))
+    text, _ = render_tables(ExperimentReport(rows=rows, config={}))
     lines = text.splitlines()
     first = next(i for i, l in enumerate(lines) if l.startswith("Vibrations 1D"))
     second = next(i for i, l in enumerate(lines) if l.startswith("FFT Vibrations 1D"))
@@ -528,7 +543,7 @@ def test_render_groups_by_detector(experiment):
 
 def test_render_empty_report_is_an_error():
     with pytest.raises(UsageError):
-        render_tables(ExperimentReport(rows=[], timelines={}, config={}))
+        render_tables(ExperimentReport(rows=[], config={}))
 
 
 def test_load_report_round_trips_rendering(experiment):

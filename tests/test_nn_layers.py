@@ -496,7 +496,7 @@ def test_lstm_extreme_preactivations_stay_finite():
     with np.errstate(all="raise"):
         y, cache = layer.forward(x)
         dx, _ = layer.backward(np.ones_like(y), cache)
-    _, _, _, gates, _ = cache
+    _, _, _, gates = cache
     assert np.isfinite(y).all() and np.isfinite(dx).all()
     for block in (slice(0, 3), slice(3, 6), slice(9, 12)):  # i, f, o
         assert gates[..., block].min() >= 0.0 and gates[..., block].max() <= 1.0
@@ -549,7 +549,7 @@ def test_lstm_recipe_predict_equals_cached_forward():
 def _reference_lstm_backward(layer, grad, cache):
     """LSTM.backward as it was before dz went into the gates buffer: a
     separate (T, B, 4u) dz_all, the gates only read."""
-    xt, hs, cs, gates, tcs = cache
+    xt, hs, cs, gates = cache
     time, batch, _ = xt.shape
     u = layer.units
     if layer.return_sequences:
@@ -565,7 +565,7 @@ def _reference_lstm_backward(layer, grad, cache):
     for t in range(time - 1, -1, -1):
         if layer.return_sequences:
             dh += grad_t[t]
-        a, tc, dz = gates[t], tcs[t], dz_all[t]
+        a, tc, dz = gates[t], np.tanh(cs[t]), dz_all[t]
         np.multiply(hs[t], tc, out=dtc)
         np.subtract(a[:, 3 * u:], dtc, out=dtc)
         dtc *= dh

@@ -9,12 +9,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pumpwatch import signal
 from pumpwatch.dataset import GeneratorConfig, generate_synthetic
 from pumpwatch.errors import ShapeError
 from pumpwatch.signal import (FEATURE_SET_ORDER, FeatureSetId, Normalizer,
                               WINDOW_SIZE, apply_normalizer, assemble_features,
-                              channel_count, channel_names, feature_length,
-                              fft_magnitude, fit_normalizer, vib_norm, window)
+                              channel_count, feature_length, fft_magnitude,
+                              fit_normalizer, vib_norm, window)
+
+
+def channel_names(fs):
+    """Channel names in the order of the feature array's channel axis."""
+    names = signal._channels(fs)
+    return ["fft_" + name for name in names] if fs.is_fft else list(names)
 
 
 # ---------------------------------------------------------------- vib_norm
