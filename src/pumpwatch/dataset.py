@@ -1,9 +1,16 @@
 """Sample schema, synthetic pump-signal generator, dataset file I/O and splits.
 
-A recording (SensorSample) is one 1024-point snapshot of each sensor channel
-plus metadata.  The synthetic generator models a pump running at one of five
-drive frequencies: every channel is a small harmonic series at multiples of
-the drive frequency plus Gaussian noise, and an anomaly changes the load by
+A Dataset stores its samples as columns: ``channels`` is one
+(samples, 4, length) float64 array in ``CHANNELS`` order, and each scalar
+field of SensorSample is a 1-D array attribute of the same name.  Only this
+module indexes the channel axis by number; others ask for a channel by name
+(``Dataset.channel_view``).  SensorSample is the row view: iterating a
+Dataset yields one per row, with Python scalars and channels that are views
+into ``channels``, and ``Dataset(samples=rows)`` stacks rows into columns.
+
+The synthetic generator models a pump running at one of five drive
+frequencies: every channel is a small harmonic series at multiples of the
+drive frequency plus Gaussian noise, and an anomaly changes the load by
 boosting the 2nd harmonic and the noise floor.  Datasets round-trip through
 a line-oriented JSON text format, and `split` carves out the healthy-only
 train/threshold portions that the detectors are allowed to see.
@@ -12,14 +19,13 @@ train/threshold portions that the detectors are allowed to see.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DatasetFormatError, SplitError
+from .errors import ConfigError, DatasetFormatError, ShapeError, SplitError
 from .rng import SplitMix64, derive_seed
-from .util import check_finite, dataclass_from_dict, round_half_up
+from .util import check_finite, field_types, round_half_up, typed_value
 
 OPERATING_FREQS_HZ = (50, 100, 150, 200, 250)
 CHANNEL_LENGTH = 1024
@@ -41,9 +47,9 @@ _FORMAT_TAG = "pumpwatch-dataset-v1"
 GENERATE_BLOCK = 16
 
 
-@dataclass
+@dataclass(eq=False)
 class SensorSample:
-    """One recording: four 1024-point channels plus acquisition metadata."""
+    """One recording, four 1024-point channels plus metadata: a Dataset's row view."""
 
     sample_id: int
     timestamp: float
@@ -57,40 +63,87 @@ class SensorSample:
     tube_id: int = 0
     is_anomaly: bool = False
 
-    def channel(self, name):
-        return getattr(self, name)
 
-    def __eq__(self, other):
-        if not isinstance(other, SensorSample):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
+def _scalars() -> dict:
+    """Each scalar field of SensorSample, in field order, and its column dtype."""
+    return {name: {int: np.int64, float: np.float64, bool: np.bool_}[tp]
+            for name, tp in field_types(SensorSample).items() if name not in CHANNELS}
 
 
-@dataclass
 class Dataset:
-    """Ordered sample collection with provenance."""
+    """Samples as columns, with provenance; see the module docstring.
 
-    samples: list
-    provenance: str = "synthetic"
-    generator_seed: Optional[int] = None
+    ``Dataset(samples=rows)`` stacks SensorSample rows, all of whose
+    channels must have the first row's audio shape."""
+
+    def __init__(self, samples=None, provenance="synthetic", generator_seed=None, *,
+                 channels=None, **scalars):
+        if samples is not None:
+            channels, scalars = _stack(list(samples))
+        self.channels, self.provenance, self.generator_seed = channels, provenance, generator_seed
+        for name in _scalars():
+            setattr(self, name, scalars[name])
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.sample_id)
 
     def __iter__(self):
-        return iter(self.samples)
+        names = list(_scalars())
+        for values, chans in zip(zip(*(getattr(self, n).tolist() for n in names)), self.channels):
+            yield SensorSample(**dict(zip(names, values)), **dict(zip(CHANNELS, chans)))
 
-    def validate(self):
-        """Check the id invariant and every sample; raise on violation."""
-        prev = None
-        for s in self.samples:
-            if prev is not None and s.sample_id <= prev:
-                raise DatasetFormatError(
-                    "sample_ids must be unique and strictly increasing "
-                    f"(saw {s.sample_id} after {prev})")
-            prev = s.sample_id
-            validate_sample(s)
+    def __eq__(self, other):
+        return (isinstance(other, Dataset) and (self.provenance, self.generator_seed)
+                == (other.provenance, other.generator_seed)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ["channels", *_scalars()]))
+
+    def channel_view(self, name) -> np.ndarray:
+        """The (samples, length) view of the channel ``name`` of CHANNELS."""
+        return self.channels[:, list(CHANNELS).index(name)]
+
+    def take(self, rows) -> Dataset:
+        """A copy holding the given rows, in the given order."""
+        return Dataset(provenance=self.provenance, generator_seed=self.generator_seed,
+                       channels=self.channels[rows],
+                       **{name: getattr(self, name)[rows] for name in _scalars()})
+
+    def validate(self, first_line=None):
+        """Raise DatasetFormatError at the first row that breaks a rule of
+        docs/dataset-format.md, naming its sample, its first broken rule and,
+        if row 0 is line ``first_line`` of a file, its line."""
+        ids, freqs, length = self.sample_id, self.operating_freq_hz, self.channels.shape[2]
+        finite = np.isfinite(self.channels).all(axis=2)
+        rules = [(np.r_[False, ids[1:] <= ids[:-1]],
+                  lambda i: f"sample_id {ids[i]} not greater than previous {ids[i - 1]}"),
+                 (~np.isin(freqs, OPERATING_FREQS_HZ),
+                  lambda i: f"operating_freq_hz {freqs[i]} not in {OPERATING_FREQS_HZ}"),
+                 (~np.isfinite(self.timestamp), lambda i: "timestamp is not finite"),
+                 (~np.isfinite(self.temperature), lambda i: "temperature is not finite"),
+                 (np.full(len(self), length != CHANNEL_LENGTH),
+                  lambda i: f"channel audio has length {length}, expected {CHANNEL_LENGTH}"),
+                 (~finite.all(axis=1), lambda i: f"channel {list(CHANNELS)[finite[i].argmin()]} "
+                                                 "contains non-finite values")]
+        faults = [(int(np.flatnonzero(bad)[0]), message) for bad, message in rules if bad.any()]
+        if faults:
+            row, message = min(faults, key=lambda fault: fault[0])
+            raise DatasetFormatError(f"sample {ids[row]}: {message(row)}",
+                                     line_number=None if first_line is None else first_line + row)
+
+
+def _stack(samples):
+    """The channel array and the scalar columns of SensorSample rows."""
+    want = np.shape(samples[0].audio) if samples else (CHANNEL_LENGTH,)
+    channels = np.empty((len(samples), len(CHANNELS)) + want)
+    for s, row in zip(samples, channels):
+        for name, out in zip(CHANNELS, row):
+            if np.shape(getattr(s, name)) != want:
+                raise ShapeError(f"sample {s.sample_id}: channel {name} has shape "
+                                 f"{np.shape(getattr(s, name))}, sample "
+                                 f"{samples[0].sample_id}'s audio has {want}")
+            out[...] = getattr(s, name)
+    return channels, {name: np.array([getattr(s, name) for s in samples], dtype=dtype)
+                      for name, dtype in _scalars().items()}
 
 
 @dataclass
@@ -135,22 +188,6 @@ class GeneratorConfig:
             raise ConfigError("noise_std must be >= 0")
 
 
-def validate_sample(s: SensorSample):
-    if s.operating_freq_hz not in OPERATING_FREQS_HZ:
-        raise DatasetFormatError(
-            f"sample {s.sample_id}: operating_freq_hz {s.operating_freq_hz} "
-            f"not in {OPERATING_FREQS_HZ}")
-    for name in CHANNELS:
-        ch = s.channel(name)
-        if len(ch) != CHANNEL_LENGTH:
-            raise DatasetFormatError(
-                f"sample {s.sample_id}: channel {name} has length "
-                f"{len(ch)}, expected {CHANNEL_LENGTH}")
-        if not np.all(np.isfinite(ch)):
-            raise DatasetFormatError(
-                f"sample {s.sample_id}: channel {name} contains non-finite values")
-
-
 def generate_synthetic(config: GeneratorConfig) -> Dataset:
     """Deterministic synthetic dataset: equal (config, seed) gives equal bytes.
 
@@ -175,20 +212,24 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
         schedule.extend([(freq, False)] * (n - n_anom))
     SplitMix64(derive_seed(config.seed, "schedule")).shuffle(schedule)
 
+    n = len(schedule)
+    ids = np.arange(n, dtype=np.int64)
+    freq_hz = np.array([freq for freq, _ in schedule], dtype=np.int64)
+    anomalous = np.array([is_anom for _, is_anom in schedule], dtype=np.bool_)
+    channels, temp_noise = np.empty((n, len(CHANNELS), CHANNEL_LENGTH)), np.empty(n)
     # derive_seed(seed, "phase", i, ci) == derive_seed(phase_root, i, ci).
     phase_root, noise_root, temp_root = (derive_seed(config.seed, tag)
                                          for tag in ("phase", "noise", "temp"))
-    samples = []
-    for start in range(0, len(schedule), GENERATE_BLOCK):
-        ids = range(start, min(start + GENERATE_BLOCK, len(schedule)))
-        freqs = np.array([schedule[i][0] for i in ids], dtype=np.float64)[:, None]
-        anom = np.array([schedule[i][1] for i in ids])[:, None]
-        chans = {}
-        for ci, (name, rate) in enumerate(CHANNELS.items()):
+    for start in range(0, n, GENERATE_BLOCK):
+        rows = range(start, min(start + GENERATE_BLOCK, n))
+        block = slice(rows.start, rows.stop)
+        freqs = freq_hz[block, None].astype(np.float64)
+        anom = anomalous[block, None]
+        for ci, rate in enumerate(CHANNELS.values()):
             t = np.arange(CHANNEL_LENGTH, dtype=np.float64) / rate
             phases = 2.0 * np.pi * SplitMix64(
-                [derive_seed(phase_root, i, ci) for i in ids]).uniforms(config.harmonic_count)
-            sig = np.zeros((len(ids), CHANNEL_LENGTH))
+                [derive_seed(phase_root, i, ci) for i in rows]).uniforms(config.harmonic_count)
+            sig = np.zeros((len(rows), CHANNEL_LENGTH))
             for h in range(1, config.harmonic_count + 1):
                 amp = config.base_amplitude / h
                 if h == 2:
@@ -198,20 +239,14 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
             if config.noise_std > 0:
                 std = config.noise_std * np.where(anom, config.anomaly_noise_gain, 1.0)
                 sig = sig + std * SplitMix64(
-                    [derive_seed(noise_root, i, ci) for i in ids]).normals(CHANNEL_LENGTH)
-            chans[name] = sig
-        temp_noise = SplitMix64([derive_seed(temp_root, i) for i in ids]).normals(1)[:, 0]
-        for j, i in enumerate(ids):
-            freq, is_anom = schedule[i]
-            samples.append(SensorSample(
-                sample_id=i,
-                timestamp=1_700_000_000.0 + 60.0 * i,
-                operating_freq_hz=freq,
-                temperature=40.0 + 0.002 * i + 0.05 * temp_noise[j],
-                is_anomaly=is_anom,
-                **{name: sig[j] for name, sig in chans.items()},
-            ))
-    return Dataset(samples=samples, provenance="synthetic", generator_seed=config.seed)
+                    [derive_seed(noise_root, i, ci) for i in rows]).normals(CHANNEL_LENGTH)
+            channels[block, ci] = sig
+        temp_noise[block] = SplitMix64([derive_seed(temp_root, i) for i in rows]).normals(1)[:, 0]
+    return Dataset(provenance="synthetic", generator_seed=config.seed, channels=channels,
+                   sample_id=ids, timestamp=1_700_000_000.0 + 60.0 * ids,
+                   operating_freq_hz=freq_hz, temperature=40.0 + 0.002 * ids + 0.05 * temp_noise,
+                   rotation_tag=np.zeros(n, dtype=np.bool_), tube_id=np.zeros(n, dtype=np.int64),
+                   is_anomaly=anomalous)
 
 
 def save_dataset(ds: Dataset, path):
@@ -225,22 +260,17 @@ def save_dataset(ds: Dataset, path):
         header = {"format": _FORMAT_TAG, "provenance": ds.provenance,
                   "generator_seed": ds.generator_seed}
         f.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for s in ds.samples:
-            obj = {f.name: getattr(s, f.name) for f in fields(s)
-                   if f.name not in CHANNELS}
-            for name in CHANNELS:
-                obj[name] = s.channel(name).tolist()
+        for s in ds:
+            obj = {name: getattr(s, name) for name in _scalars()}
+            obj.update((name, getattr(s, name).tolist()) for name in CHANNELS)
             f.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 def load_dataset(path) -> Dataset:
-    """Parse and strictly validate a dataset file.
+    """Parse and strictly validate a dataset file, one line into one row.
 
-    Any malformed line, unknown or missing field, scalar of the wrong JSON
-    type, wrong channel length or non-finite value raises DatasetFormatError
-    naming the offending line.
-    """
-    samples = []
+    Each rule of docs/dataset-format.md that a line breaks raises
+    DatasetFormatError naming the line."""
     with open(path) as f:
         header_line = f.readline()
         if not header_line:
@@ -252,76 +282,74 @@ def load_dataset(path) -> Dataset:
         if not isinstance(header, dict) or header.get("format") != _FORMAT_TAG:
             raise DatasetFormatError(
                 f"missing or unknown format tag (expected {_FORMAT_TAG!r})", line_number=1)
-
-        prev_id = None
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                raise DatasetFormatError("blank line", line_number=lineno)
+        n = sum(1 for _ in f)
+        f.seek(0)
+        f.readline()
+        scalars = {name: np.empty(n, dtype=dtype) for name, dtype in _scalars().items()}
+        channels = np.empty((n, len(CHANNELS), CHANNEL_LENGTH))
+        for row, line in enumerate(f):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetFormatError(f"not valid JSON: {e}", line_number=lineno)
-            if not isinstance(obj, dict):
-                raise DatasetFormatError("sample line is not a JSON object",
-                                         line_number=lineno)
-            missing = {f.name for f in fields(SensorSample)} - set(obj)
-            if missing:  # also the fields SensorSample gives a default
-                raise DatasetFormatError(f"missing fields {sorted(missing)}",
-                                         line_number=lineno)
-            try:
-                sample = dataclass_from_dict(
-                    SensorSample, obj, "sample line", error=DatasetFormatError,
-                    **{name: np.asarray(obj[name], dtype=np.float64) for name in CHANNELS})
-                validate_sample(sample)
-            except (TypeError, ValueError) as e:
-                raise DatasetFormatError(f"bad field value: {e}", line_number=lineno)
+                _read_row(line, row, scalars, channels)
             except DatasetFormatError as e:
-                raise DatasetFormatError(str(e), line_number=lineno)
-            if prev_id is not None and sample.sample_id <= prev_id:
-                raise DatasetFormatError(
-                    f"sample_id {sample.sample_id} not greater than previous {prev_id}",
-                    line_number=lineno)
-            prev_id = sample.sample_id
-            samples.append(sample)
+                raise DatasetFormatError(str(e), line_number=row + 2) from None
+    ds = Dataset(provenance=header.get("provenance", "file"),
+                 generator_seed=header.get("generator_seed"), channels=channels, **scalars)
+    ds.validate(first_line=2)
+    return ds
 
-    return Dataset(samples=samples,
-                   provenance=header.get("provenance", "file"),
-                   generator_seed=header.get("generator_seed"))
+
+def _read_row(line, row, scalars, channels):
+    """Parse one sample line into row ``row`` of the columns."""
+    if not line.strip():
+        raise DatasetFormatError("blank line")
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DatasetFormatError(f"not valid JSON: {e}")
+    if not isinstance(obj, dict):
+        raise DatasetFormatError("sample line is not a JSON object")
+    types = field_types(SensorSample)
+    if set(obj) != set(types):  # also the fields SensorSample gives a default
+        raise DatasetFormatError(f"unknown fields {sorted(set(obj) - set(types))}, "
+                                 f"missing fields {sorted(set(types) - set(obj))}")
+    for name, column in scalars.items():
+        try:
+            column[row] = typed_value(obj[name], types[name], name, DatasetFormatError)
+        except OverflowError:
+            raise DatasetFormatError(f"{name} is outside the {column.dtype} range, "
+                                     f"got {obj[name]!r:.40}")
+    for name, out in zip(CHANNELS, channels[row]):
+        try:
+            values = np.asarray(obj[name], dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise DatasetFormatError(f"channel {name} is not a list of numbers: {e}")
+        if values.shape != out.shape:
+            raise DatasetFormatError(f"sample {obj['sample_id']}: channel {name} has "
+                                     f"shape {values.shape}, expected {out.shape}")
+        out[...] = values
 
 
 def split(ds: Dataset, spec: SplitSpec, seed: int):
-    """Partition into (train, threshold_set, eval_set).
+    """Partition into (train, threshold_set, eval_set), each in sample_id order.
 
-    Train and threshold contain only healthy samples; eval gets all anomalous
-    samples plus the remaining healthy fraction.  The healthy shuffle is
-    stratified per operating frequency and depends only on (sample_id,
-    is_anomaly, operating_freq_hz, seed), so nothing about the channel data
-    can leak into the partition.
+    Train and threshold hold only healthy samples; eval gets every anomalous
+    sample plus the remaining healthy fraction.  Per operating frequency,
+    the healthy rows are shuffled in sample_id order, so no channel value
+    can move a row between parts.  Every row lands in exactly one part.
     """
     spec.validate()
-    healthy = [s for s in ds.samples if not s.is_anomaly]
-    anomalous = [s for s in ds.samples if s.is_anomaly]
-    if len(healthy) < 3:
-        raise SplitError(f"need at least 3 healthy samples, got {len(healthy)}")
-
-    train_ids, thr_ids, eval_ids = set(), set(), set()
-    for freq in OPERATING_FREQS_HZ:
-        group = sorted(s.sample_id for s in healthy if s.operating_freq_hz == freq)
-        if not group:
-            continue
+    order = np.argsort(ds.sample_id, kind="stable")
+    healthy, freqs = ~ds.is_anomaly[order], ds.operating_freq_hz[order]
+    if healthy.sum() < 3:
+        raise SplitError(f"need at least 3 healthy samples, got {healthy.sum()}")
+    parts = ([], [], [])  # positions in ``order``, so sorting them sorts by id
+    for freq in sorted(set(freqs.tolist())):
+        group = np.flatnonzero(healthy & (freqs == freq)).tolist()
         SplitMix64(derive_seed(seed, "split", freq)).shuffle(group)
         n = len(group)
         n_train = min(round_half_up(spec.train_frac * n), n)
         n_thr = min(round_half_up(spec.threshold_frac * n), n - n_train)
-        train_ids.update(group[:n_train])
-        thr_ids.update(group[n_train:n_train + n_thr])
-        eval_ids.update(group[n_train + n_thr:])
-    eval_ids.update(s.sample_id for s in anomalous)
-
-    def subset(ids):
-        picked = sorted((s for s in ds.samples if s.sample_id in ids),
-                        key=lambda s: s.sample_id)
-        return Dataset(samples=picked, provenance=ds.provenance,
-                       generator_seed=ds.generator_seed)
-
-    return subset(train_ids), subset(thr_ids), subset(eval_ids)
+        for part, cut in zip(parts, np.split(group, [n_train, n_train + n_thr])):
+            part.extend(cut)
+    parts[2].extend(np.flatnonzero(~healthy).tolist())
+    return tuple(ds.take(order[sorted(part)]) for part in parts)

@@ -285,11 +285,11 @@ def _decide(combo: Combination, splits, errors) -> Combination:
         # One classify call per sample: the traced benchmark counts the calls.
         flags[name] = [bool(detect.classify(row, th)[1]) for row in errors[name]]
         scores = detect.make_score(errors[name]).tolist()
-        entries += [TimelineEntry(s.sample_id, s.timestamp, score, th.value, flagged,
-                                  s.is_anomaly, name)
-                    for s, score, flagged in zip(part, scores, flags[name])]
+        rows = zip(part.sample_id.tolist(), part.timestamp.tolist(), part.is_anomaly.tolist())
+        entries += [TimelineEntry(i, t, score, th.value, flagged, truth, name)
+                    for (i, t, truth), score, flagged in zip(rows, scores, flags[name])]
     entries.sort(key=lambda e: (e.timestamp, e.sample_id))
-    metrics = detect.evaluate(flags["eval"], [s.is_anomaly for s in splits["eval"]])
+    metrics = detect.evaluate(flags["eval"], splits["eval"].is_anomaly.tolist())
     return dataclasses.replace(combo, metrics=metrics, flags=flags, timeline=entries)
 
 

@@ -10,24 +10,27 @@ cuts each channel into contiguous 64-point slices.
 
 Features are whole-split arrays of shape (samples, channels, length), in
 the channel order ``_BASES`` lists for the feature set; an FFT set keeps
-its raw set's order.  Every step works on the array
-at once; each output element is computed by the same floating-point
-operations the one-sample formula uses, so a split's features do not
-depend on which other samples share the array.  Windows of one split are
-one (samples * windows, channels, size) array, sample-major: rows
-``i * W .. (i + 1) * W - 1`` are sample i's windows in time order.  They
-are the feature array cut and reshaped; no two windows overlap.
+its raw set's order.  They are cut from a split Dataset's columns: each
+sensor channel is asked for by name as one (samples, length) view, so
+this module never depends on the dataset's channel layout.  Every step
+works on the array at once; each output element is computed by the same
+floating-point operations the one-sample formula uses, so a split's
+features do not depend on which other samples share the array.  Windows
+of one split are one (samples * windows, channels, size) array,
+sample-major: rows ``i * W .. (i + 1) * W - 1`` are sample i's windows in
+time order.  They are the feature array cut and reshaped; no two windows
+overlap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List
+from typing import List
 
 import numpy as np
 
-from .dataset import SensorSample
+from .dataset import Dataset
 from .errors import ShapeError
 from .util import JsonFields
 
@@ -123,43 +126,11 @@ def fft_magnitude(series) -> np.ndarray:
     return np.abs(np.fft.rfft(x)[..., : n // 2]) / n
 
 
-def _raw_channels(samples, names) -> dict:
-    """Each named sensor channel of every sample as one (samples, length) array.
-
-    Every channel of every sample must have the length of the first
-    sample's first channel; the first sample that breaks this is named.
-    """
-    first = samples[0]
-    want = np.shape(getattr(first, names[0]))
-    if len(want) != 1:
-        raise ShapeError(f"sample {first.sample_id}: channel {names[0]} has "
-                         f"shape {want}, expected one dimension")
-    raw = {name: np.empty((len(samples),) + want) for name in names}
-    for i, s in enumerate(samples):
-        for name in names:
-            values = np.asarray(getattr(s, name), dtype=np.float64)
-            if values.shape != want:
-                raise ShapeError(
-                    f"sample {s.sample_id}: channel {name} has shape "
-                    f"{values.shape}, sample {first.sample_id}'s {names[0]} "
-                    f"has {want}")
-            raw[name][i] = values
-    return raw
-
-
-def assemble_features(samples: Iterable[SensorSample], fs: FeatureSetId) -> np.ndarray:
+def assemble_features(ds: Dataset, fs: FeatureSetId) -> np.ndarray:
     """Build the (samples, channels, length) feature array of one split."""
-    samples = list(samples)
-    if not samples:
-        return np.zeros((0, channel_count(fs), feature_length(fs)))
-    names = _channels(fs)
-    sensors = [name for name in names if name != "vib1d"]
-    if "vib1d" in names:
-        sensors += ["vib_x", "vib_y", "vib_z"]
-    raw = _raw_channels(samples, sensors)
-    if "vib1d" in names:
-        raw["vib1d"] = vib_norm(raw["vib_x"], raw["vib_y"], raw["vib_z"])
-    values = np.stack([raw[name] for name in names], axis=1)
+    values = np.stack([vib_norm(*map(ds.channel_view, ("vib_x", "vib_y", "vib_z")))
+                       if name == "vib1d" else ds.channel_view(name)
+                       for name in _channels(fs)], axis=1)
     return fft_magnitude(values) if fs.is_fft else values
 
 

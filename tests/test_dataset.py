@@ -6,6 +6,7 @@ so fitting sin/cos columns recovers the configured amplitudes with ~zero
 residual without reusing any generator code.
 """
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -72,7 +73,7 @@ def test_generator_sample_fields():
         assert 39.0 < s.temperature < 41.5
         assert s.rotation_tag is False and s.tube_id == 0
         for name in CHANNELS:
-            ch = s.channel(name)
+            ch = getattr(s, name)
             assert ch.shape == (CHANNEL_LENGTH,) and np.isfinite(ch).all()
 
 
@@ -82,7 +83,7 @@ def test_clean_channel_is_a_pure_sine():
                           harmonic_count=1, noise_std=0.0, seed=5)
     for s in generate_synthetic(cfg):
         for name, rate in CHANNELS.items():
-            amps, resid = _fit_tone(s.channel(name), s.operating_freq_hz, rate)
+            amps, resid = _fit_tone(getattr(s, name), s.operating_freq_hz, rate)
             assert abs(amps[0] - 1.0) < 1e-9
             assert resid < 1e-9
 
@@ -110,7 +111,7 @@ def test_anomaly_noise_gain_is_exact_doubling():
     for sh, sa in zip(healthy, anom):
         assert sh.operating_freq_hz == sa.operating_freq_hz
         for name in CHANNELS:
-            assert np.array_equal(sa.channel(name), 2.0 * sh.channel(name))
+            assert np.array_equal(getattr(sa, name), 2.0 * getattr(sh, name))
 
 
 def _reference_samples(cfg):
@@ -163,7 +164,7 @@ def test_generator_equals_per_sample_reference(overrides):
         assert (s.operating_freq_hz, s.is_anomaly) == (freq, is_anom)
         assert float(s.temperature).hex() == float(temp).hex()
         for name in CHANNELS:
-            assert s.channel(name).tobytes() == chans[name].tobytes(), name
+            assert getattr(s, name).tobytes() == chans[name].tobytes(), name
 
 
 def test_generator_memory_is_bounded_by_its_output():
@@ -175,7 +176,7 @@ def test_generator_memory_is_bounded_by_its_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    channel_bytes = sum(s.channel(name).nbytes for s in ds for name in CHANNELS)
+    channel_bytes = sum(getattr(s, name).nbytes for s in ds for name in CHANNELS)
     assert peak <= 1.25 * channel_bytes
 
 
@@ -216,6 +217,36 @@ def test_header_carries_provenance(tmp_path):
     loaded = load_dataset(path)
     assert loaded.provenance == "synthetic"
     assert loaded.generator_seed == 8
+
+
+def test_resave_of_a_loaded_file_is_byte_identical(tmp_path):
+    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    save_dataset(generate_synthetic(GeneratorConfig(n_samples_per_condition=2, seed=3)), p1)
+    save_dataset(load_dataset(p1), p2)
+    assert p2.read_bytes() == p1.read_bytes()
+
+
+def test_rows_stack_back_into_the_same_columns():
+    ds = generate_synthetic(GeneratorConfig(n_samples_per_condition=2, seed=4))
+    rows = list(ds)
+    assert all(np.shares_memory(s.vib_y, ds.channels) for s in rows)
+    assert Dataset(samples=rows, provenance=ds.provenance,
+                   generator_seed=ds.generator_seed) == ds
+    assert np.array_equal(ds.channel_view("vib_y"), np.stack([s.vib_y for s in rows]))
+
+
+def test_load_memory_is_bounded_by_its_output(tmp_path):
+    # the rows are parsed into one preallocated array; collecting them in a
+    # list and stacking it at the end peaked at about 2x the output
+    path = tmp_path / "ds.jsonl"
+    save_dataset(generate_synthetic(GeneratorConfig(n_samples_per_condition=100)), path)
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ds.channels.nbytes
 
 
 def _write_lines(path, lines):
@@ -345,6 +376,36 @@ def test_load_rejects_wrong_scalar_type(tmp_path, field, value):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("timestamp", float("nan")),
+    ("temperature", float("inf")),
+    ("temperature", float("-inf")),
+])
+def test_load_rejects_nonfinite_scalar(tmp_path, field, value):
+    # Python's json reads NaN and Infinity; a NaN timestamp breaks the
+    # timeline's (timestamp, sample_id) order
+    path = tmp_path / "bad.jsonl"
+    _write_lines(path, [_HEADER, json.dumps(_sample_obj(0)),
+                        json.dumps(_sample_obj(1, **{field: value}))])
+    with pytest.raises(DatasetFormatError, match=f"line 3.*sample 1.*{field}"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sample_id", 2**63),
+    ("tube_id", -2**63 - 1),
+    ("operating_freq_hz", 10**30),
+    ("timestamp", 10**400),
+], ids=["id-2**63", "tube-below-int64", "freq-10**30", "timestamp-10**400"])
+def test_load_rejects_a_number_its_column_cannot_hold(tmp_path, field, value):
+    obj = _sample_obj(0)
+    obj[field] = value
+    path = tmp_path / "bad.jsonl"
+    _write_lines(path, [_HEADER, json.dumps(obj)])
+    with pytest.raises(DatasetFormatError, match=f"line 2.*{field}"):
+        load_dataset(path)
+
+
 def test_load_rejects_non_increasing_ids(tmp_path):
     path = tmp_path / "bad.jsonl"
     _write_lines(path, [_HEADER, json.dumps(_sample_obj(3)), json.dumps(_sample_obj(3))])
@@ -365,16 +426,36 @@ def test_load_full_scale_file(tmp_path):
                     % (i, 60 * i, chan, chan, chan, chan))
     ds = load_dataset(path)
     assert len(ds) == 3041
-    assert ds.samples[-1].sample_id == 3040
+    assert list(ds)[-1].sample_id == 3040
 
 
 def test_save_validates_first(tmp_path):
     bad = Dataset(samples=[SensorSample(
         sample_id=0, timestamp=0.0, operating_freq_hz=50, temperature=40.0,
-        audio=np.zeros(10), vib_x=np.zeros(CHANNEL_LENGTH),
-        vib_y=np.zeros(CHANNEL_LENGTH), vib_z=np.zeros(CHANNEL_LENGTH))])
+        audio=np.zeros(10), vib_x=np.zeros(10), vib_y=np.zeros(10), vib_z=np.zeros(10))])
     with pytest.raises(DatasetFormatError, match="audio"):
         save_dataset(bad, tmp_path / "x.jsonl")
+
+
+def test_save_rejects_a_nonfinite_scalar(tmp_path):
+    ds = generate_synthetic(GeneratorConfig(n_samples_per_condition=1, seed=8))
+    rows = list(ds)
+    rows[3] = dataclasses.replace(rows[3], timestamp=float("nan"))
+    with pytest.raises(DatasetFormatError, match="sample 3: timestamp"):
+        save_dataset(Dataset(samples=rows), tmp_path / "x.jsonl")
+
+
+def test_validate_names_the_first_offending_sample_and_channel():
+    rows = list(generate_synthetic(GeneratorConfig(n_samples_per_condition=1, seed=8)))
+    rows[1] = dataclasses.replace(rows[1], operating_freq_hz=60)
+    bad = rows[0].vib_z.copy()
+    bad[7] = np.inf
+    rows[0] = dataclasses.replace(rows[0], vib_z=bad)
+    with pytest.raises(DatasetFormatError, match="sample 0: channel vib_z"):
+        Dataset(samples=rows).validate()
+    rows[0] = dataclasses.replace(rows[0], vib_z=rows[2].vib_z)
+    with pytest.raises(DatasetFormatError, match="sample 1: operating_freq_hz 60"):
+        Dataset(samples=rows).validate()
 
 
 # ---------------------------------------------------------------- split
@@ -448,7 +529,7 @@ def test_split_ignores_channel_data():
                                                   anomaly_fraction=0.5, seed=13))
     for s in poisoned:
         for name in CHANNELS:
-            s.channel(name)[:] = 1e300
+            getattr(s, name)[:] = 1e300
     got = split(poisoned, SplitSpec(), seed=7)
     for p_ref, p_got in zip(ref, got):
         assert [s.sample_id for s in p_ref] == [s.sample_id for s in p_got]
@@ -467,3 +548,65 @@ def test_split_spec_validation():
         split(_gen(2, 0.0), SplitSpec(0.5, 0.2, 0.2), seed=0)
     with pytest.raises(ConfigError):
         split(_gen(2, 0.0), SplitSpec(0.8, 0.2, 0.0), seed=0)
+
+
+def test_split_puts_every_row_in_one_part_when_ids_repeat():
+    # a repeated sample_id once sent a row to every part that held its id,
+    # and a healthy row at an unknown frequency went to no part
+    ds = generate_synthetic(GeneratorConfig(n_samples_per_condition=8, seed=7))
+    rows = [dataclasses.replace(s, sample_id=s.sample_id // 2) for s in ds]
+    healthy = next(i for i, s in enumerate(rows) if not s.is_anomaly)
+    rows[healthy] = dataclasses.replace(rows[healthy], operating_freq_hz=60)
+    parts = split(Dataset(samples=rows), SplitSpec(), seed=0)
+    assert sum(len(p) for p in parts) == len(ds)
+    # timestamps are unique, so they name the rows
+    stamps = [s.timestamp for p in parts for s in p]
+    assert sorted(stamps) == [s.timestamp for s in ds]
+
+
+def _id_set_split(ds, spec, seed):
+    """The split that partitioned sample ids, before it partitioned rows:
+    each part's ids in order."""
+    healthy = [s for s in ds if not s.is_anomaly]
+    if len(healthy) < 3:
+        raise SplitError(f"need at least 3 healthy samples, got {len(healthy)}")
+    train_ids, thr_ids, eval_ids = set(), set(), set()
+    for freq in OPERATING_FREQS_HZ:
+        group = sorted(s.sample_id for s in healthy if s.operating_freq_hz == freq)
+        if not group:
+            continue
+        SplitMix64(derive_seed(seed, "split", freq)).shuffle(group)
+        n = len(group)
+        n_train = min(round_half_up(spec.train_frac * n), n)
+        n_thr = min(round_half_up(spec.threshold_frac * n), n - n_train)
+        train_ids.update(group[:n_train])
+        thr_ids.update(group[n_train:n_train + n_thr])
+        eval_ids.update(group[n_train + n_thr:])
+    eval_ids.update(s.sample_id for s in ds if s.is_anomaly)
+    return [sorted(ids) for ids in (train_ids, thr_ids, eval_ids)]
+
+
+def _reference_split_cases():
+    for n, frac, seed in ((7, 0.4, 5), (10, 0.0, 1), (10, 1.0, 2), (6, 0.9, 3), (20, 0.5, 4)):
+        yield f"n{n}-frac{frac}", _gen(n, frac, seed=seed)
+    # the k-th condition keeps every k-th sample id: uneven condition sizes
+    yield "uneven", Dataset(samples=[
+        s for s in _gen(14, 0.3, seed=6)
+        if s.sample_id % (OPERATING_FREQS_HZ.index(s.operating_freq_hz) + 1) == 0])
+    yield "descending-ids", Dataset(samples=[
+        dataclasses.replace(s, sample_id=1000 - 3 * s.sample_id) for s in _gen(9, 0.5, 7)])
+
+
+@pytest.mark.parametrize("spec", [SplitSpec(), SplitSpec(0.5, 0.25, 0.25)],
+                         ids=["default", "half"])
+def test_split_equals_id_set_reference(spec):
+    for name, ds in _reference_split_cases():
+        for seed in range(20):
+            try:
+                want = _id_set_split(ds, spec, seed)
+            except SplitError:
+                with pytest.raises(SplitError):
+                    split(ds, spec, seed)
+                continue
+            got = [p.sample_id.tolist() for p in split(ds, spec, seed)]
+            assert got == want, (name, seed)

@@ -217,9 +217,10 @@ def test_constant_window_reconstruction_error():
 
 
 def test_trained_beats_untrained_on_heldout(small_dataset):
+    from pumpwatch.dataset import Dataset
     from pumpwatch.signal import (FeatureSetId, apply_normalizer,
                                   assemble_features, fit_normalizer, window)
-    healthy = [s for s in small_dataset if not s.is_anomaly]
+    healthy = Dataset(samples=[s for s in small_dataset if not s.is_anomaly])
     mats = assemble_features(healthy, FeatureSetId.AUDIO)
     nz = fit_normalizer(mats[:15])
     wins = window(apply_normalizer(nz, mats))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pumpwatch import signal
-from pumpwatch.dataset import GeneratorConfig, generate_synthetic
+from pumpwatch.dataset import Dataset, GeneratorConfig, generate_synthetic
 from pumpwatch.errors import ShapeError
 from pumpwatch.signal import (FEATURE_SET_ORDER, FeatureSetId, Normalizer,
                               WINDOW_SIZE, apply_normalizer, assemble_features,
@@ -115,12 +115,12 @@ def test_fft_magnitude_bound():
 @pytest.fixture(scope="module")
 def one_sample():
     ds = generate_synthetic(GeneratorConfig(n_samples_per_condition=1, seed=3))
-    return ds.samples[0]
+    return next(iter(ds))
 
 
 @pytest.fixture(scope="module")
 def five_samples():
-    return generate_synthetic(GeneratorConfig(n_samples_per_condition=1, seed=3)).samples
+    return list(generate_synthetic(GeneratorConfig(n_samples_per_condition=1, seed=3)))
 
 
 def test_feature_set_catalogue():
@@ -138,62 +138,59 @@ def test_feature_set_catalogue():
 
 def test_assemble_shapes_all_sets(one_sample, five_samples):
     for fs in FEATURE_SET_ORDER:
-        fm = assemble_features([one_sample], fs)
+        fm = assemble_features(Dataset(samples=[one_sample]), fs)
         assert fm.shape == (1, channel_count(fs), feature_length(fs))
         assert len(channel_names(fs)) == channel_count(fs)
         assert np.isfinite(fm).all()
         # row i of a split's array is sample i
-        many = assemble_features(five_samples, fs)
+        many = assemble_features(Dataset(samples=five_samples), fs)
         assert many.shape == (5, channel_count(fs), feature_length(fs))
-        assert np.array_equal(many[2], assemble_features([five_samples[2]], fs)[0])
+        one = assemble_features(Dataset(samples=[five_samples[2]]), fs)
+        assert np.array_equal(many[2], one[0])
 
 
 def test_assemble_vib1d_is_vib_norm(one_sample):
-    fm = assemble_features([one_sample], FeatureSetId.VIB1D)[0]
+    fm = assemble_features(Dataset(samples=[one_sample]), FeatureSetId.VIB1D)[0]
     want = vib_norm(one_sample.vib_x, one_sample.vib_y, one_sample.vib_z)
     assert np.array_equal(fm[0], want)
     assert channel_names(FeatureSetId.VIB1D) == ["vib1d"]
 
 
 def test_assemble_channel_order(one_sample):
-    fm = assemble_features([one_sample], FeatureSetId.VIB1D_AUDIO)[0]
+    fm = assemble_features(Dataset(samples=[one_sample]), FeatureSetId.VIB1D_AUDIO)[0]
     assert channel_names(FeatureSetId.VIB1D_AUDIO) == ["vib1d", "audio"]
     assert np.array_equal(fm[1], one_sample.audio)
 
-    fm3 = assemble_features([one_sample], FeatureSetId.VIB3D)[0]
+    fm3 = assemble_features(Dataset(samples=[one_sample]), FeatureSetId.VIB3D)[0]
     assert channel_names(FeatureSetId.VIB3D) == ["vib_x", "vib_y", "vib_z"]
     assert np.array_equal(fm3[1], one_sample.vib_y)
 
 
 def test_assemble_fft_applies_per_channel(one_sample):
-    fm = assemble_features([one_sample], FeatureSetId.FFT_VIB3D)[0]
+    fm = assemble_features(Dataset(samples=[one_sample]), FeatureSetId.FFT_VIB3D)[0]
     assert channel_names(FeatureSetId.FFT_VIB3D) == ["fft_vib_x", "fft_vib_y", "fft_vib_z"]
     assert np.allclose(fm[1], fft_magnitude(one_sample.vib_y))
 
-    pair = assemble_features([one_sample], FeatureSetId.FFT_VIB1D_AUDIO)[0]
+    pair = assemble_features(Dataset(samples=[one_sample]), FeatureSetId.FFT_VIB1D_AUDIO)[0]
     assert channel_names(FeatureSetId.FFT_VIB1D_AUDIO) == ["fft_vib1d", "fft_audio"]
     v1d = vib_norm(one_sample.vib_x, one_sample.vib_y, one_sample.vib_z)
     assert np.allclose(pair[0], fft_magnitude(v1d))
 
 
 def test_assemble_names_the_sample_with_a_different_channel_length(five_samples):
+    # a Dataset holds one channel length, so stacking the rows refuses it
     short = dataclasses.replace(five_samples[3], audio=five_samples[3].audio[:1000])
-    samples = five_samples[:3] + [short] + five_samples[4:]
-    for fs in (FeatureSetId.AUDIO, FeatureSetId.VIB1D_AUDIO,
-               FeatureSetId.FFT_VIB1D_AUDIO):
-        with pytest.raises(ShapeError, match=f"sample {short.sample_id}: channel audio"):
-            assemble_features(samples, fs)
-    # sets that do not read the audio channel are unaffected
-    assert assemble_features(samples, FeatureSetId.VIB3D).shape == (5, 3, 1024)
+    with pytest.raises(ShapeError, match=f"sample {short.sample_id}: channel audio"):
+        Dataset(samples=five_samples[:3] + [short] + five_samples[4:])
 
     skewed = dataclasses.replace(five_samples[1], vib_y=five_samples[1].vib_y[:512])
     with pytest.raises(ShapeError, match=f"sample {skewed.sample_id}: channel vib_y"):
-        assemble_features([five_samples[0], skewed], FeatureSetId.VIB1D)
+        Dataset(samples=[five_samples[0], skewed])
 
 
 def test_assemble_empty_split():
     for fs in FEATURE_SET_ORDER:
-        empty = assemble_features([], fs)
+        empty = assemble_features(Dataset(samples=[]), fs)
         assert empty.shape == (0, channel_count(fs), feature_length(fs))
         assert window(empty).shape == (0, channel_count(fs), WINDOW_SIZE)
         # an empty train split has nothing to fit a normalizer on
@@ -260,18 +257,18 @@ def test_normalizer_channel_mismatch():
 # ---------------------------------------------------------------- windows
 
 def test_window_counts(one_sample, five_samples):
-    raw = assemble_features([one_sample], FeatureSetId.VIB3D)
+    raw = assemble_features(Dataset(samples=[one_sample]), FeatureSetId.VIB3D)
     batch = window(raw)
     assert len(batch) == 16
     # windows are sample-major, in time order within a sample
-    many = assemble_features(five_samples, FeatureSetId.VIB3D)
+    many = assemble_features(Dataset(samples=five_samples), FeatureSetId.VIB3D)
     wins = window(many)
     assert len(wins) == 5 * 16
     for i in range(5):
         for k in range(16):
             assert np.array_equal(wins[i * 16 + k], many[i, :, k * 64:(k + 1) * 64])
 
-    fft = assemble_features([one_sample], FeatureSetId.FFT_AUDIO)
+    fft = assemble_features(Dataset(samples=[one_sample]), FeatureSetId.FFT_AUDIO)
     assert len(window(fft)) == 8
 
 
@@ -298,7 +295,7 @@ def test_window_too_short():
 
 
 def test_window_batch_to_array(one_sample):
-    fm = assemble_features([one_sample], FeatureSetId.VIB1D_AUDIO)
+    fm = assemble_features(Dataset(samples=[one_sample]), FeatureSetId.VIB1D_AUDIO)
     arr = window(fm)
     assert arr.shape == (16, 2, WINDOW_SIZE)
     assert np.array_equal(arr[3], fm[0][:, 3 * 64:4 * 64])
@@ -351,7 +348,7 @@ def _ref_to_array(wins):
 @pytest.fixture(scope="module")
 def mixed_samples():
     ds = generate_synthetic(GeneratorConfig(n_samples_per_condition=4, seed=17))
-    samples = list(ds.samples)
+    samples = list(ds)
     # one sample with NaN in a vibration axis and in the audio channel
     vib_y = samples[5].vib_y.copy()
     vib_y[[0, 100, 700]] = np.nan
@@ -364,7 +361,7 @@ def mixed_samples():
 @pytest.mark.parametrize("fs", FEATURE_SET_ORDER, ids=lambda fs: fs.name)
 def test_batched_features_match_per_sample_code(mixed_samples, fs):
     ref = np.stack([_ref_assemble_features(s, fs) for s in mixed_samples])
-    got = assemble_features(mixed_samples, fs)
+    got = assemble_features(Dataset(samples=mixed_samples), fs)
     assert np.isnan(got[5]).any()
     assert np.array_equal(got, ref, equal_nan=True)
 
