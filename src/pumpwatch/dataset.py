@@ -18,6 +18,7 @@ train/threshold portions that the detectors are allowed to see.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -111,7 +112,9 @@ class Dataset:
     def validate(self, first_line=None):
         """Raise DatasetFormatError at the first row that breaks a rule of
         docs/dataset-format.md, naming its sample, its first broken rule and,
-        if row 0 is line ``first_line`` of a file, its line."""
+        if row 0 is line ``first_line`` of a file, its line.  A bad header
+        field is an error before any row."""
+        _check_header(self.provenance, self.generator_seed)
         ids, freqs, length = self.sample_id, self.operating_freq_hz, self.channels.shape[2]
         finite = np.isfinite(self.channels).all(axis=2)
         rules = [(np.r_[False, ids[1:] <= ids[:-1]],
@@ -129,6 +132,15 @@ class Dataset:
             row, message = min(faults, key=lambda fault: fault[0])
             raise DatasetFormatError(f"sample {ids[row]}: {message(row)}",
                                      line_number=None if first_line is None else first_line + row)
+
+
+def _check_header(provenance, generator_seed, line_number=None):
+    """Raise DatasetFormatError unless provenance is a string and
+    generator_seed an integer or None."""
+    error = functools.partial(DatasetFormatError, line_number=line_number)
+    typed_value(provenance, str, "provenance", error)
+    if generator_seed is not None:
+        typed_value(generator_seed, int, "generator_seed", error)
 
 
 def _stack(samples):
@@ -282,6 +294,8 @@ def load_dataset(path) -> Dataset:
         if not isinstance(header, dict) or header.get("format") != _FORMAT_TAG:
             raise DatasetFormatError(
                 f"missing or unknown format tag (expected {_FORMAT_TAG!r})", line_number=1)
+        provenance, generator_seed = header.get("provenance", "file"), header.get("generator_seed")
+        _check_header(provenance, generator_seed, line_number=1)
         n = sum(1 for _ in f)
         f.seek(0)
         f.readline()
@@ -292,8 +306,8 @@ def load_dataset(path) -> Dataset:
                 _read_row(line, row, scalars, channels)
             except DatasetFormatError as e:
                 raise DatasetFormatError(str(e), line_number=row + 2) from None
-    ds = Dataset(provenance=header.get("provenance", "file"),
-                 generator_seed=header.get("generator_seed"), channels=channels, **scalars)
+    ds = Dataset(provenance=provenance, generator_seed=generator_seed, channels=channels,
+                 **scalars)
     ds.validate(first_line=2)
     return ds
 

@@ -305,6 +305,7 @@ def _grid(cfg: ExperimentConfig, splits, normalizer, combination) -> List[Combin
             except PumpwatchError as e:
                 raise type(e)(f"{det.kind.name} on {fs.name}: {e}")
             combos.append(dataclasses.replace(combo, seconds=time.perf_counter() - started))
+        del windows  # freed before the next feature set's windows are built
     return combos
 
 

@@ -109,9 +109,10 @@ class Autoencoder:
         x = self.to_inputs(windows)
         if len(x) == 0:
             return np.zeros(0)
-        out = self.network.predict(x)
-        diff = out - x
-        return (diff * diff).reshape(len(x), -1).mean(axis=1)
+        out = self.network.predict(x)  # a new array, so reduce it in place
+        out -= x
+        out *= out
+        return out.reshape(len(x), -1).mean(axis=1)
 
     def param_count(self) -> int:
         return self.network.param_count()

@@ -21,6 +21,18 @@ from .layers import layer_from_spec
 
 _CHECKPOINT_TAG = "pumpwatch-model-v1"
 
+# Rows per forward in ``Network.predict``.  Measured on 2 cores with one
+# OpenBLAS thread and numpy 2.4.6: on 640 windows a 3-channel CNN
+# holds a tracemalloc peak of 28.1 / 14.4 / 7.8 MiB at 512 / 256 / 128 rows,
+# and a 3-channel LSTM (n=64) 34.6 / 17.8 / 9.6 MiB; 256 is also no slower.
+# 128 is worse: glibc sets its heap trim threshold to twice the largest
+# mmapped block freed so far, and at 128 rows the CNN's largest column
+# buffer (4.2 MB) leaves it below what one training step frees, so every
+# step of a later fit returns its memory and faults it back in: a
+# train_conv_dense benchmark call took about 96k minor faults against 6k at
+# 256 rows, and 18% more wall time.
+PREDICT_ROWS = 256
+
 
 def mse_loss(output, target):
     """Mean over all elements of squared difference; returns (value, grad)."""
@@ -80,8 +92,19 @@ class Network:
                 grads[f"L{idx}.{local}"] = g
         return grads
 
-    def predict(self, x, batch_size=512):
-        """Forward pass in chunks without retaining caches."""
+    def predict(self, x, batch_size=PREDICT_ROWS):
+        """Forward pass in chunks of ``batch_size`` rows without retaining caches.
+
+        The chunk bounds the memory of inference: a chunk's activations are
+        freed before the next chunk runs.  The default of 256 rows
+        (``PREDICT_ROWS``) holds half the activations of 512 at no loss of
+        speed; 128 would hold less again, but then the heap returns every
+        later training step's memory to the OS and faults it back in.
+        The output is always a new array.
+        """
+        if (not isinstance(batch_size, (int, np.integer)) or isinstance(batch_size, bool)
+                or batch_size < 1):
+            raise UsageError(f"batch_size must be a positive integer, got {batch_size!r}")
         outs = []
         # An empty x still runs one forward, which gives the empty output.
         for start in range(0, max(len(x), 1), batch_size):

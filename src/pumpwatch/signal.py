@@ -166,7 +166,8 @@ def apply_normalizer(nz: Normalizer, features) -> np.ndarray:
                          f"features have {features.shape[1]}")
     span = nz.maxs - nz.mins
     safe = np.where(span > 0, span, 1.0)
-    out = (features - nz.mins[:, None]) / safe[:, None]
+    out = features - nz.mins[:, None]
+    out /= safe[:, None]
     out[:, span == 0, :] = 0.0
     return out
 

@@ -280,6 +280,35 @@ def test_load_rejects_bad_header(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("fields, match", [
+    ({"provenance": [1, 2]}, "provenance must be a string"),
+    ({"provenance": None}, "provenance must be a string"),
+    ({"generator_seed": "seven"}, "generator_seed must be an integer"),
+    ({"generator_seed": 7.5}, "generator_seed must be an integer"),
+    ({"generator_seed": True}, "generator_seed must be an integer"),
+])
+def test_load_rejects_mistyped_header_fields(tmp_path, fields, match):
+    header = {"format": "pumpwatch-dataset-v1", "provenance": "test", "generator_seed": 7}
+    path = tmp_path / "bad.jsonl"
+    _write_lines(path, [json.dumps({**header, **fields}), json.dumps(_sample_obj(0))])
+    with pytest.raises(DatasetFormatError, match=f"line 1: {match}"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"provenance": [1, 2]}, "provenance must be a string"),
+    ({"generator_seed": "seven"}, "generator_seed must be an integer"),
+])
+def test_save_refuses_mistyped_header_fields(tmp_path, fields, match):
+    ds = generate_synthetic(GeneratorConfig(n_samples_per_condition=1, seed=9))
+    for name, value in fields.items():
+        setattr(ds, name, value)
+    path = tmp_path / "bad.jsonl"
+    with pytest.raises(DatasetFormatError, match=match):
+        save_dataset(ds, path)
+    assert not path.exists()
+
+
 def test_load_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")

@@ -205,6 +205,27 @@ def test_window_errors_match_reconstruct():
         assert np.isclose(errs[i], np.mean(diff * diff), atol=1e-12)
 
 
+_THREE_CHANNEL_RECIPES = {"dnn": lambda: build_dnn(192, 64, seed=11),
+                          "cnn": lambda: build_cnn(channels=3, bottleneck=8, seed=12),
+                          "lstm": lambda: build_lstm(n=16, channels=3, seed=13)}
+
+
+@pytest.mark.parametrize("recipe, count", [
+    *((kind, n) for kind in ("dnn", "cnn") for n in (0, 1, 255, 256, 257, 700)),
+    *(("lstm", n) for n in (0, 1, 257)),
+])
+def test_window_errors_equal_the_squared_error_of_predict(recipe, count):
+    # window_errors reduces predict's output in place; same bits as a new array
+    ae = _THREE_CHANNEL_RECIPES[recipe]()
+    wins = np.random.default_rng(count).normal(size=(count, 3, 64))
+    x = ae.to_inputs(wins)
+    p = ae.network.predict(x)
+    want = ((p - x) ** 2).reshape(count, 3 * 64).mean(axis=1)
+    got = ae.window_errors(wins)
+    assert got.shape == want.shape == (count,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # ---------------------------------------------------------------- training
 
 def test_constant_window_reconstruction_error():

@@ -539,6 +539,20 @@ def test_lstm_recipe_predict_memory_is_capped():
     assert peak < 60 * 2**20
 
 
+def test_cnn_recipe_predict_memory_is_capped():
+    # a 3-channel CNN peaked at 28.1 MiB in 512-row chunks, 14.4 MiB in 256
+    from pumpwatch.models import build_cnn
+    net = build_cnn(channels=3, seed=1).network
+    x = np.random.default_rng(28).normal(size=(640, 64, 3))
+    tracemalloc.start()
+    try:
+        net.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
 def test_lstm_recipe_predict_equals_cached_forward():
     from pumpwatch.models import build_lstm
     net = build_lstm(n=64, channels=3, seed=1).network
@@ -740,6 +754,20 @@ def test_predict_matches_forward_in_chunks():
     # chunked BLAS calls may round differently, so equivalence not identity
     assert np.allclose(net.predict(x, batch_size=3), full, atol=1e-12)
     assert np.array_equal(net.predict(x, batch_size=64), full)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1, 2.5, True, None, "8"])
+def test_predict_rejects_a_bad_batch_size(batch_size):
+    net = _small_net()
+    x = np.zeros((5, 4))
+    with pytest.raises(UsageError, match=f"batch_size.*{batch_size!r}"):
+        net.predict(x, batch_size=batch_size)
+
+
+def test_predict_takes_a_numpy_integer_batch_size():
+    net = _small_net()
+    x = np.random.default_rng(29).normal(size=(5, 4))
+    assert np.array_equal(net.predict(x, batch_size=np.int64(2)), net.predict(x, batch_size=2))
 
 
 def test_initialize_is_seed_deterministic():
