@@ -18,7 +18,7 @@ dataset split, in stages that return values:
 only the threshold split, and ``evaluate_experiment`` loads and decides.
 Each combination yields one ``Combination`` record, its report row, and the
 write stage reads nothing else: ``model`` and ``normalizer`` if the call
-fitted them, ``metrics``, ``flags`` and ``timeline`` if it decided, and
+fitted them, ``metrics`` and ``timeline`` if it decided, and
 ``seconds`` from fit or load to decide.  A model is loaded by the kind the
 config names.  Every file but runtimes.json is byte-deterministic.
 
@@ -132,7 +132,6 @@ class Combination:
     metrics: Optional[detect.Metrics] = None
     model: object = None
     normalizer: Optional[Normalizer] = None
-    flags: Dict[str, List[bool]] = field(default_factory=dict)
     timeline: List[TimelineEntry] = field(default_factory=list)
     seconds: float = 0.0
 
@@ -260,14 +259,14 @@ def _fit_detector(det: DetectorSpec, fs: FeatureSetId, train: np.ndarray,
     return ae
 
 
-def _load_detector(kind: DetectorKind, fs: FeatureSetId, combo_dir: Path):
+def _load_detector(kind: DetectorKind, combo_dir: Path):
     """Load stage: the model the write stage saved in ``combo_dir``."""
     path = combo_dir / kind.artifact
     if kind is DetectorKind.BM_PCA:
         return baseline.PcaModel.load(path)
     if kind is DetectorKind.BM_IQR:
         return baseline.IqrModel.load(path)
-    return Autoencoder.load(path, kind, channel_count(fs))
+    return Autoencoder.load(path, kind)
 
 
 def _score(model, fs: FeatureSetId, windows) -> Dict[str, np.ndarray]:
@@ -290,7 +289,7 @@ def _decide(combo: Combination, splits, errors) -> Combination:
                     for (i, t, truth), score, flagged in zip(rows, scores, flags[name])]
     entries.sort(key=lambda e: (e.timestamp, e.sample_id))
     metrics = detect.evaluate(flags["eval"], splits["eval"].is_anomaly.tolist())
-    return dataclasses.replace(combo, metrics=metrics, flags=flags, timeline=entries)
+    return dataclasses.replace(combo, metrics=metrics, timeline=entries)
 
 
 def _grid(cfg: ExperimentConfig, splits, normalizer, combination) -> List[Combination]:
@@ -345,7 +344,7 @@ def evaluate_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> Exper
 
     def combination(det, fs, nz, windows):
         combo_dir = artifacts / f"{det.kind.value}_{fs.value}"
-        model = _load_detector(det.kind, fs, combo_dir)
+        model = _load_detector(det.kind, combo_dir)
         th = detect.Threshold.load(combo_dir / "threshold.json")
         return _decide(Combination(det, fs, th), splits, _score(model, fs, windows))
 

@@ -24,7 +24,8 @@ from enum import Enum
 import numpy as np
 
 from . import nn
-from .errors import ConfigError
+from .baseline import flat_windows
+from .errors import ConfigError, ShapeError
 from .nn.network import Network
 from .signal import WINDOW_SIZE
 from .util import round_half_up
@@ -88,16 +89,15 @@ def lstm_units(n):
 class Autoencoder:
     """A built recipe plus the window <-> network-input marshalling."""
 
-    def __init__(self, kind: DetectorKind, network: Network, channels: int):
+    def __init__(self, kind: DetectorKind, network: Network):
         self.kind = kind
         self.network = network
-        self.channels = int(channels)
 
     def to_inputs(self, windows: np.ndarray) -> np.ndarray:
         """(count, channels, 64) -> network input layout."""
         windows = np.asarray(windows, dtype=np.float64)
         if self.kind is DetectorKind.DNN:
-            return windows.reshape(len(windows), self.channels * WINDOW_SIZE)
+            return flat_windows(windows)
         return windows.transpose(0, 2, 1)
 
     def fit(self, windows: np.ndarray, cfg: nn.TrainConfig) -> nn.TrainResult:
@@ -110,6 +110,9 @@ class Autoencoder:
         if len(x) == 0:
             return np.zeros(0)
         out = self.network.predict(x)  # a new array, so reduce it in place
+        if out.shape != x.shape:
+            raise ShapeError(f"the {self.kind.name} network maps {x.shape} to "
+                             f"{out.shape}, not back to its input's shape")
         out -= x
         out *= out
         return out.reshape(len(x), -1).mean(axis=1)
@@ -121,9 +124,9 @@ class Autoencoder:
         self.network.save(path)
 
     @classmethod
-    def load(cls, path, kind: DetectorKind, channels: int) -> "Autoencoder":
-        """A saved network; the recipe and channel count are not in the file."""
-        return cls(kind, Network.load(path), channels)
+    def load(cls, path, kind: DetectorKind) -> "Autoencoder":
+        """A saved network; the recipe is not in the file."""
+        return cls(kind, Network.load(path))
 
 
 def _dnn_network(x, n) -> Network:
@@ -143,7 +146,7 @@ def build_dnn(x, n=150, seed=0) -> Autoencoder:
                           f"{WINDOW_SIZE}, got {x}")
     check_dnn_n(n)
     net = _dnn_network(x, n).initialize(seed)
-    return Autoencoder(DetectorKind.DNN, net, x // WINDOW_SIZE)
+    return Autoencoder(DetectorKind.DNN, net)
 
 
 def build_lstm(n=150, timesteps=WINDOW_SIZE, channels=1, seed=0) -> Autoencoder:
@@ -163,7 +166,7 @@ def build_lstm(n=150, timesteps=WINDOW_SIZE, channels=1, seed=0) -> Autoencoder:
         nn.Dense(units[7], channels),
     ]
     net = Network(layers).initialize(seed)
-    return Autoencoder(DetectorKind.LSTM, net, channels)
+    return Autoencoder(DetectorKind.LSTM, net)
 
 
 def build_cnn(timesteps=WINDOW_SIZE, channels=1, bottleneck=32, seed=0) -> Autoencoder:
@@ -189,4 +192,4 @@ def build_cnn(timesteps=WINDOW_SIZE, channels=1, bottleneck=32, seed=0) -> Autoe
         nn.Conv1D(f1, channels),
     ]
     net = Network(layers).initialize(seed)
-    return Autoencoder(DetectorKind.CNN, net, channels)
+    return Autoencoder(DetectorKind.CNN, net)

@@ -20,6 +20,12 @@ Conventions shared by every layer:
   gates and cell state, and returns ``None`` as its cache.  The other
   layers' caches are the input or shape they hold anyway, so they ignore
   the flag.
+- A layer's configuration is its constructor's arguments.  Each one is
+  annotated ``int``, ``bool`` or ``list`` and kept under its own name
+  (a tuple may be kept for a list), so ``Layer.spec()``, the checkpoint
+  entry, reads them back from the attributes, ``layer_from_spec`` checks
+  a checkpoint's values against the annotations, and ``describe()``, the
+  prefix of every ``ShapeError``, is built from the spec.
 - Parameters live in ``self.params()`` as named float64 arrays.  Optimizers
   update them in place, and the gradient checker shifts one entry at a
   time in place, so a layer derives nothing from them that outlives one
@@ -32,6 +38,7 @@ import numpy as np
 
 from ..errors import ShapeError, UsageError
 from ..rng import SplitMix64, derive_seed
+from ..util import field_types, typed_value
 
 
 # Time steps of the LSTM input projection computed per matmul.
@@ -54,10 +61,19 @@ class Layer:
         pass
 
     def spec(self):
-        return {"kind": type(self).__name__}
+        """The checkpoint entry: the kind and each constructor argument."""
+        spec = {"kind": type(self).__name__}
+        # The annotations, in argument order; inspect.signature would parse
+        # object's text signature on every call for the layers without one.
+        for name in field_types(type(self).__init__):
+            value = getattr(self, name)
+            spec[name] = list(value) if isinstance(value, tuple) else value
+        return spec
 
     def describe(self):
-        return type(self).__name__
+        """The layer as it was built, e.g. ``Dense(in_dim=4,units=3)``."""
+        args = ",".join(f"{k}={v}" for k, v in self.spec().items() if k != "kind")
+        return f"{type(self).__name__}({args})"
 
     def forward(self, x, keep_cache=True):
         raise NotImplementedError
@@ -73,7 +89,7 @@ class Dense(Layer):
     case the same weights apply at every time step.
     """
 
-    def __init__(self, in_dim, units):
+    def __init__(self, in_dim: int, units: int):
         self.in_dim = int(in_dim)
         self.units = int(units)
         self.W = np.zeros((self.in_dim, self.units))
@@ -86,12 +102,6 @@ class Dense(Layer):
         self.W = _glorot(SplitMix64(derive_seed(seed, "W")),
                          (self.in_dim, self.units), self.in_dim, self.units)
         self.b = np.zeros(self.units)
-
-    def spec(self):
-        return {"kind": "Dense", "in_dim": self.in_dim, "units": self.units}
-
-    def describe(self):
-        return f"Dense({self.in_dim}->{self.units})"
 
     def forward(self, x, keep_cache=True):
         if x.shape[-1] != self.in_dim:
@@ -135,12 +145,12 @@ class Conv1D(Layer):
     ``+=`` per offset, in the same order as the column blocks.
     """
 
-    def __init__(self, in_channels, filters, kernel_size=2):
+    def __init__(self, in_channels: int, filters: int, kernel_size: int = 2):
         self.in_channels = int(in_channels)
         self.filters = int(filters)
         self.kernel_size = int(kernel_size)
         if self.kernel_size < 1:
-            raise ShapeError(f"Conv1D: kernel_size must be >= 1, got {kernel_size}")
+            raise ShapeError(f"{self.describe()}: kernel_size must be >= 1")
         self.W = np.zeros((self.kernel_size, self.in_channels, self.filters))
         self.b = np.zeros(self.filters)
 
@@ -153,13 +163,6 @@ class Conv1D(Layer):
                          (self.kernel_size, self.in_channels, self.filters),
                          fan_in, self.filters)
         self.b = np.zeros(self.filters)
-
-    def spec(self):
-        return {"kind": "Conv1D", "in_channels": self.in_channels,
-                "filters": self.filters, "kernel_size": self.kernel_size}
-
-    def describe(self):
-        return f"Conv1D({self.in_channels}->{self.filters},k={self.kernel_size})"
 
     def _columns(self, x):
         # (batch, time, kernel*channels): each time step sees offsets 0..k-1.
@@ -208,18 +211,15 @@ class MaxPool1D(Layer):
     and +0.0 elsewhere, into one buffer.
     """
 
-    def __init__(self, pool_size=2):
+    def __init__(self, pool_size: int = 2):
         self.pool_size = int(pool_size)
         if self.pool_size < 1:
-            raise ShapeError(f"MaxPool1D: pool_size must be >= 1, got {pool_size}")
-
-    def spec(self):
-        return {"kind": "MaxPool1D", "pool_size": self.pool_size}
+            raise ShapeError(f"{self.describe()}: pool_size must be >= 1")
 
     def forward(self, x, keep_cache=True):
         p = self.pool_size
         if x.ndim != 3 or x.shape[1] % p != 0:
-            raise ShapeError(f"MaxPool1D: time axis of {x.shape} not divisible by {p}")
+            raise ShapeError(f"{self.describe()}: time axis of {x.shape} not divisible by {p}")
         batch, time, ch = x.shape
         xr = x.reshape(batch, time // p, p, ch)
         y = xr[:, :, 0].copy()
@@ -248,17 +248,14 @@ class MaxPool1D(Layer):
 class Upsample1D(Layer):
     """Nearest-neighbor repeat along time: (B, T, C) -> (B, T*factor, C)."""
 
-    def __init__(self, factor=2):
+    def __init__(self, factor: int = 2):
         self.factor = int(factor)
         if self.factor < 1:
-            raise ShapeError(f"Upsample1D: factor must be >= 1, got {factor}")
-
-    def spec(self):
-        return {"kind": "Upsample1D", "factor": self.factor}
+            raise ShapeError(f"{self.describe()}: factor must be >= 1")
 
     def forward(self, x, keep_cache=True):
         if x.ndim != 3:
-            raise ShapeError(f"Upsample1D: expected 3-d input, got {x.shape}")
+            raise ShapeError(f"{self.describe()}: expected 3-d input, got {x.shape}")
         return np.repeat(x, self.factor, axis=1), x.shape
 
     def backward(self, grad, cache):
@@ -275,15 +272,12 @@ class Upsample1D(Layer):
 class RepeatLast(Layer):
     """Repeat a flat vector across time: (B, U) -> (B, repeat_count, U)."""
 
-    def __init__(self, repeat_count):
+    def __init__(self, repeat_count: int):
         self.repeat_count = int(repeat_count)
-
-    def spec(self):
-        return {"kind": "RepeatLast", "repeat_count": self.repeat_count}
 
     def forward(self, x, keep_cache=True):
         if x.ndim != 2:
-            raise ShapeError(f"RepeatLast: expected 2-d input, got {x.shape}")
+            raise ShapeError(f"{self.describe()}: expected 2-d input, got {x.shape}")
         return np.repeat(x[:, None, :], self.repeat_count, axis=1), None
 
     def backward(self, grad, cache):
@@ -295,7 +289,7 @@ class Flatten(Layer):
 
     def forward(self, x, keep_cache=True):
         if x.ndim != 3:
-            raise ShapeError(f"Flatten: expected 3-d input, got {x.shape}")
+            raise ShapeError(f"{self.describe()}: expected 3-d input, got {x.shape}")
         # Explicit column count: reshape(-1) cannot infer it for zero rows.
         batch, time, ch = x.shape
         return x.reshape(batch, time * ch), x.shape
@@ -307,16 +301,13 @@ class Flatten(Layer):
 class Reshape(Layer):
     """(B, N) -> (B, *target_shape)."""
 
-    def __init__(self, target_shape):
+    def __init__(self, target_shape: list):
         self.target_shape = tuple(int(v) for v in target_shape)
-
-    def spec(self):
-        return {"kind": "Reshape", "target_shape": list(self.target_shape)}
 
     def forward(self, x, keep_cache=True):
         want = int(np.prod(self.target_shape))
         if x.ndim != 2 or x.shape[1] != want:
-            raise ShapeError(f"Reshape{self.target_shape}: expected (batch, {want}), "
+            raise ShapeError(f"{self.describe()}: expected (batch, {want}), "
                              f"got {x.shape}")
         return x.reshape((x.shape[0],) + self.target_shape), x.shape
 
@@ -348,7 +339,7 @@ class LSTM(Layer):
     on the same input, so it needs no (T, B, u) buffer of its own.
     """
 
-    def __init__(self, in_dim, units, return_sequences=True):
+    def __init__(self, in_dim: int, units: int, return_sequences: bool = True):
         self.in_dim = int(in_dim)
         self.units = int(units)
         self.return_sequences = bool(return_sequences)
@@ -374,13 +365,6 @@ class LSTM(Layer):
         self.U = _glorot(SplitMix64(derive_seed(seed, "U")), (u, 4 * u), u, 4 * u)
         self.b = np.zeros(4 * u)
         self.b[u:2 * u] = 1.0  # forget-gate bias starts open
-
-    def spec(self):
-        return {"kind": "LSTM", "in_dim": self.in_dim, "units": self.units,
-                "return_sequences": self.return_sequences}
-
-    def describe(self):
-        return f"LSTM({self.in_dim}->{self.units})"
 
     def forward(self, x, keep_cache=True):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
@@ -503,9 +487,14 @@ LAYER_KINDS = {cls.__name__: cls for cls in
                 RepeatLast, Flatten, Reshape)}
 
 
-def layer_from_spec(spec: dict) -> Layer:
+def layer_from_spec(spec: dict, what="layer") -> Layer:
+    """The layer a ``spec()`` describes; a value that does not have its argument's
+    annotated type, such as ``"units": 64.7``, is a ``UsageError`` naming it."""
     kind = spec.get("kind")
     if kind not in LAYER_KINDS:
         raise ShapeError(f"unknown layer kind {kind!r}")
-    kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    return LAYER_KINDS[kind](**kwargs)
+    cls = LAYER_KINDS[kind]
+    types = field_types(cls.__init__)
+    kwargs = {k: typed_value(v, types[k], f"{k} of {what}", UsageError)
+              if k in types else v for k, v in spec.items() if k != "kind"}
+    return cls(**kwargs)

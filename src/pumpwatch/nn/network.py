@@ -150,12 +150,14 @@ class Network:
 
     @classmethod
     def load(cls, path):
+        """A saved network; ``layer_from_spec`` checks each layer's values."""
         doc = read_json(path)
         tag = doc.get("format") if isinstance(doc, dict) else None
         if tag != _CHECKPOINT_TAG:
             raise UsageError(f"{path} is not a model checkpoint: format tag {tag!r}")
         try:
-            net = cls([layer_from_spec(s) for s in doc["layers"]])
+            net = cls([layer_from_spec(s, f"layer {idx} of {path}")
+                       for idx, s in enumerate(doc["layers"])])
             values = {}
             for name, entry in doc["params"].items():
                 raw = base64.b64decode(entry["data"])

@@ -297,3 +297,22 @@ def test_flags_are_unchanged():
     for name, parser in subparsers.choices.items():
         flags = [(a.option_strings, a.dest, a.type) for a in parser._actions]
         assert flags == _FLAGS[name], name
+
+
+def test_evaluate_of_a_mistyped_checkpoint_exits_2_with_one_error_line(
+        dataset_file, tmp_path, capsys):
+    args = _run_args(dataset_file, tmp_path / "out", command="train")
+    args[args.index("--detectors") + 1] = "lstm"
+    args[args.index("--max-epochs") + 1] = "1"
+    assert main(args) == 0
+    path = tmp_path / "out" / "artifacts" / "lstm_vib1d" / "model.json"
+    doc = json.loads(path.read_text())
+    assert doc["layers"][8]["return_sequences"] is True
+    doc["layers"][8]["return_sequences"] = 0
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    args[0] = "evaluate"
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "return_sequences of layer 8 of" in err and "model.json" in err

@@ -245,7 +245,7 @@ def test_threshold_matches_calibration_protocol(experiment, small_dataset, tag):
     nz = Normalizer.load(outdir / "artifacts" / fs.value / "normalizer.json")
     wins = window(apply_normalizer(nz, assemble_features(parts[1], fs)))
     combo = outdir / "artifacts" / f"{tag}_{fs.value}"
-    model = harness._load_detector(DetectorKind(tag), fs, combo)
+    model = harness._load_detector(DetectorKind(tag), combo)
     want = detect.calibrate_threshold(model.window_errors(wins))
     got = detect.Threshold.load(combo / "threshold.json")
     assert got == want
@@ -364,7 +364,7 @@ def test_evaluate_of_an_untrained_combination_leaves_the_tree_unchanged(
 @pytest.mark.parametrize("kind", list(DetectorKind))
 def test_every_detector_round_trips_through_save_and_load(tmp_path, small_dataset,
                                                           kind):
-    # VIB3D has three channels: the loader must take them from the feature set
+    # VIB3D has three channels: the loaded network must carry them
     fs = FeatureSetId.VIB3D
     det = DetectorSpec(kind=kind, n=16 if kind is DetectorKind.LSTM else 64,
                        cnn_bottleneck=16)
@@ -374,7 +374,7 @@ def test_every_detector_round_trips_through_save_and_load(tmp_path, small_datase
                             for part in (train, threshold))
     model = harness._fit_detector(det, fs, train_w, TrainConfig(max_epochs=1))
     model.save(tmp_path / kind.artifact)
-    loaded = harness._load_detector(kind, fs, tmp_path)
+    loaded = harness._load_detector(kind, tmp_path)
     assert type(loaded) is type(model)
     if isinstance(model, Autoencoder):
         assert model.kind is loaded.kind is kind

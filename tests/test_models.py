@@ -1,11 +1,13 @@
 """Architecture recipe tests: width arithmetic, shape walks, marshalling,
 and the trained-beats-untrained reconstruction property."""
 
+import json
+
 import numpy as np
 import pytest
 
 from pumpwatch import nn
-from pumpwatch.errors import ConfigError
+from pumpwatch.errors import ConfigError, ShapeError
 from pumpwatch.models import (Autoencoder, DetectorKind, build_cnn, build_dnn,
                               build_lstm, dnn_widths, lstm_units)
 from pumpwatch.nn import Conv1D, Dense, MaxPool1D, TrainConfig
@@ -14,7 +16,7 @@ from pumpwatch.nn import Conv1D, Dense, MaxPool1D, TrainConfig
 def from_outputs(ae, outputs):
     """Network outputs back to (count, channels, 64) windows."""
     if ae.kind is DetectorKind.DNN:
-        return outputs.reshape(len(outputs), ae.channels, 64)
+        return outputs.reshape(len(outputs), -1, 64)
     return outputs.transpose(0, 2, 1)
 
 
@@ -88,8 +90,8 @@ def test_build_dnn_validation():
         build_dnn(0, 150)
     with pytest.raises(ConfigError):
         build_dnn(100, 150)  # not a window multiple
-    ae = build_dnn(128, 150)  # infers 2 channels
-    assert ae.channels == 2
+    ae = build_dnn(128, 150)  # 2 channels
+    assert ae.network.layers[0].in_dim == 128
 
 
 def test_build_lstm_structure():
@@ -177,7 +179,7 @@ def test_predict_on_no_windows_is_empty(ae_builder):
 
 
 def test_dnn_flattening_concatenates_channels():
-    ae = Autoencoder(DetectorKind.DNN, network=None, channels=2)
+    ae = Autoencoder(DetectorKind.DNN, network=None)
     w = np.arange(2 * 2 * 64, dtype=np.float64).reshape(2, 2, 64)
     flat = ae.to_inputs(w)
     assert flat.shape == (2, 128)
@@ -187,7 +189,7 @@ def test_dnn_flattening_concatenates_channels():
 
 
 def test_sequence_layout_is_time_major():
-    ae = Autoencoder(DetectorKind.LSTM, network=None, channels=3)
+    ae = Autoencoder(DetectorKind.LSTM, network=None)
     w = np.random.default_rng(2).normal(size=(4, 3, 64))
     x = ae.to_inputs(w)
     assert x.shape == (4, 64, 3)
@@ -257,3 +259,85 @@ def test_trained_beats_untrained_on_heldout(small_dataset):
     trained_errs = trained.window_errors(held)
     better = np.mean(trained_errs < untrained_errs)
     assert better >= 0.95
+
+
+# ---------------------------------------------------------------- checkpoints
+
+# What model.json stores for each recipe; a change here changes the file.
+_DNN_SPECS = [
+    {"kind": "Dense", "in_dim": 128, "units": 64}, {"kind": "Tanh"},
+    {"kind": "Dense", "in_dim": 64, "units": 21}, {"kind": "Tanh"},
+    {"kind": "Dense", "in_dim": 21, "units": 16}, {"kind": "Tanh"},
+    {"kind": "Dense", "in_dim": 16, "units": 21}, {"kind": "Tanh"},
+    {"kind": "Dense", "in_dim": 21, "units": 64}, {"kind": "Tanh"},
+    {"kind": "Dense", "in_dim": 64, "units": 128},
+]
+_LSTM_SPECS = [
+    {"kind": "LSTM", "in_dim": 3, "units": 64, "return_sequences": True},
+    {"kind": "LSTM", "in_dim": 64, "units": 32, "return_sequences": True},
+    {"kind": "LSTM", "in_dim": 32, "units": 16, "return_sequences": True},
+    {"kind": "LSTM", "in_dim": 16, "units": 16, "return_sequences": False},
+    {"kind": "RepeatLast", "repeat_count": 64},
+    {"kind": "LSTM", "in_dim": 16, "units": 16, "return_sequences": True},
+    {"kind": "LSTM", "in_dim": 16, "units": 16, "return_sequences": True},
+    {"kind": "LSTM", "in_dim": 16, "units": 32, "return_sequences": True},
+    {"kind": "LSTM", "in_dim": 32, "units": 64, "return_sequences": True},
+    {"kind": "Dense", "in_dim": 64, "units": 3},
+]
+_CNN_SPECS = [
+    {"kind": "Conv1D", "in_channels": 2, "filters": 16, "kernel_size": 2},
+    {"kind": "Tanh"}, {"kind": "MaxPool1D", "pool_size": 2},
+    {"kind": "Conv1D", "in_channels": 16, "filters": 32, "kernel_size": 2},
+    {"kind": "Tanh"}, {"kind": "MaxPool1D", "pool_size": 2},
+    {"kind": "Conv1D", "in_channels": 32, "filters": 64, "kernel_size": 2},
+    {"kind": "Tanh"}, {"kind": "MaxPool1D", "pool_size": 2},
+    {"kind": "Conv1D", "in_channels": 64, "filters": 128, "kernel_size": 2},
+    {"kind": "Tanh"}, {"kind": "MaxPool1D", "pool_size": 2},
+    {"kind": "Flatten"},
+    {"kind": "Dense", "in_dim": 512, "units": 8}, {"kind": "Tanh"},
+    {"kind": "Dense", "in_dim": 8, "units": 512}, {"kind": "Tanh"},
+    {"kind": "Reshape", "target_shape": [4, 128]},
+    {"kind": "Upsample1D", "factor": 2},
+    {"kind": "Conv1D", "in_channels": 128, "filters": 128, "kernel_size": 2},
+    {"kind": "Tanh"}, {"kind": "Upsample1D", "factor": 2},
+    {"kind": "Conv1D", "in_channels": 128, "filters": 64, "kernel_size": 2},
+    {"kind": "Tanh"}, {"kind": "Upsample1D", "factor": 2},
+    {"kind": "Conv1D", "in_channels": 64, "filters": 32, "kernel_size": 2},
+    {"kind": "Tanh"}, {"kind": "Upsample1D", "factor": 2},
+    {"kind": "Conv1D", "in_channels": 32, "filters": 16, "kernel_size": 2},
+    {"kind": "Tanh"},
+    {"kind": "Conv1D", "in_channels": 16, "filters": 2, "kernel_size": 2},
+]
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: build_dnn(128, 64), _DNN_SPECS),
+    (lambda: build_lstm(64, channels=3), _LSTM_SPECS),
+    (lambda: build_cnn(channels=2, bottleneck=8), _CNN_SPECS),
+], ids=["dnn", "lstm", "cnn"])
+def test_recipe_layer_specs_are_pinned(build, want):
+    got = [layer.spec() for layer in build().network.layers]
+    assert got == want
+    # keys in constructor order, the order the checkpoint sorts away
+    assert [list(s) for s in got] == [list(s) for s in want]
+
+
+def test_loaded_network_that_changes_the_window_shape_is_refused(tmp_path):
+    # a well-typed edit: the repeat no longer restores the 64 time steps
+    ae = build_lstm(n=16, channels=1, seed=14)
+    path = tmp_path / "model.json"
+    ae.save(path)
+    doc = json.loads(path.read_text())
+    assert doc["layers"][4] == {"kind": "RepeatLast", "repeat_count": 64}
+    doc["layers"][4]["repeat_count"] = 32
+    path.write_text(json.dumps(doc))
+    loaded = Autoencoder.load(path, DetectorKind.LSTM)
+    wins = np.random.default_rng(4).normal(size=(3, 1, 64))
+    with pytest.raises(ShapeError, match=r"maps \(3, 64, 1\) to \(3, 32, 1\)"):
+        loaded.window_errors(wins)
+
+
+def test_dnn_input_of_the_wrong_width_is_a_dense_shape_error():
+    ae = build_dnn(64, 64, seed=15)
+    with pytest.raises(ShapeError, match=r"layer 0: Dense\(in_dim=64,units=64\)"):
+        ae.window_errors(np.zeros((2, 3, 64)))

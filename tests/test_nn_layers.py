@@ -6,9 +6,11 @@ forwards) over a single layer, so these checks do not lean on nn.gradcheck,
 which tests/test_gradcheck.py covers on whole networks.
 """
 
+import inspect
 import json
 import math
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -856,4 +858,74 @@ def test_checkpoint_with_invalid_layer_size_raises_shape_error(tmp_path, index, 
     doc["layers"][index][key] = 0
     path.write_text(json.dumps(doc))
     with pytest.raises(ShapeError, match=f"{key} must be >= 1"):
+        Network.load(path)
+
+
+# Every layer kind, with each argument away from its default.
+_NON_DEFAULT_LAYERS = [Dense(4, 3), Tanh(), Conv1D(2, 3, kernel_size=3), MaxPool1D(4),
+                       Upsample1D(3), LSTM(2, 3, return_sequences=False), RepeatLast(5),
+                       Flatten(), Reshape((2, 3))]
+
+
+def test_non_default_layers_cover_every_kind():
+    assert sorted(type(l).__name__ for l in _NON_DEFAULT_LAYERS) == \
+        sorted(layers.LAYER_KINDS)
+
+
+@pytest.mark.parametrize("cls", layers.LAYER_KINDS.values(), ids=lambda c: c.__name__)
+def test_every_constructor_argument_is_annotated(cls):
+    # spec() writes the annotated arguments only; one left bare would be lost
+    hints = typing.get_type_hints(cls.__init__)
+    assert list(hints) == list(inspect.signature(cls).parameters)
+    assert set(hints.values()) <= {int, bool, list}
+
+
+@pytest.mark.parametrize("layer", _NON_DEFAULT_LAYERS, ids=lambda l: type(l).__name__)
+def test_spec_round_trips_and_describe_names_each_argument(layer):
+    spec = layer.spec()
+    assert layers.layer_from_spec(spec).spec() == spec
+    described = layer.describe()
+    assert described.startswith(f"{spec['kind']}(")
+    for key, value in spec.items():
+        if key != "kind":
+            assert f"{key}={value}" in described
+
+
+def test_spec_and_describe_of_a_dense_layer():
+    assert Dense(4, 3).spec() == {"kind": "Dense", "in_dim": 4, "units": 3}
+    assert Dense(4, 3).describe() == "Dense(in_dim=4,units=3)"
+
+
+@pytest.mark.parametrize("layer, x", [
+    (MaxPool1D(4), np.zeros((1, 6, 2))),
+    (Upsample1D(3), np.zeros((1, 6))),
+    (RepeatLast(5), np.zeros((1, 2, 3))),
+    (Flatten(), np.zeros((1, 6))),
+    (Reshape((2, 3)), np.zeros((1, 7))),
+], ids=lambda v: type(v).__name__ if isinstance(v, layers.Layer) else "")
+def test_shape_errors_start_with_describe(layer, x):
+    with pytest.raises(ShapeError) as err:
+        layer.forward(x)
+    assert str(err.value).startswith(layer.describe() + ": ")
+
+
+@pytest.mark.parametrize("index, key, value", [
+    (0, "return_sequences", 0),
+    (2, "repeat_count", True),
+    (2, "repeat_count", "64"),
+    (2, "repeat_count", 64.7),
+    (0, "units", 3.0),
+    (4, "target_shape", 6),
+], ids=["return_sequences-0", "repeat_count-true", "repeat_count-string",
+        "repeat_count-fraction", "units-float", "target_shape-int"])
+def test_checkpoint_value_of_the_wrong_type_is_a_usage_error(tmp_path, index, key, value):
+    net = Network([LSTM(2, 3), LSTM(3, 6, return_sequences=False), RepeatLast(4),
+                   LSTM(6, 6, return_sequences=False), Reshape((2, 3)),
+                   Dense(3, 2)]).initialize(13)
+    path = tmp_path / "model.json"
+    net.save(path)
+    doc = json.loads(path.read_text())
+    doc["layers"][index][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(UsageError, match=f"{key} of layer {index} of .*model.json"):
         Network.load(path)
