@@ -5,10 +5,12 @@ dataset split, in stages that return values:
 
 - prepare: the dataset's train, threshold and eval splits;
 - features: per feature set, each split's normalized windows, shared by all
-  detectors; the normalizer is fitted on the healthy train split or loaded;
+  detectors; the normalizer is fitted on the healthy train split or loaded.
+  One split's features are built at a time and dropped once windowed;
 - fit or load: per combination, a model fitted on the train windows and a
   threshold calibrated on the healthy threshold split, or both loaded;
-- score: one (samples, windows) error matrix per split, each scored once;
+- score: one (samples, windows) error matrix per split, each scored once,
+  ``PREDICT_ROWS`` windows at a time into one preallocated vector;
 - decide: per split, each sample's majority-vote flag and timeline entry;
   the eval split's metrics;
 - write: the only stage that writes files.  It runs once every combination
@@ -48,6 +50,7 @@ from .dataset import (Dataset, GeneratorConfig, SplitSpec, generate_synthetic,
 from .errors import ConfigError, PumpwatchError, UsageError
 from .models import (Autoencoder, DetectorKind, build_cnn, build_dnn, build_lstm,
                      check_cnn_bottleneck, check_dnn_n, check_lstm_n)
+from .nn.network import by_chunks
 from .nn.train import TrainConfig
 from .rng import derive_seed
 from .signal import (FEATURE_SET_ORDER, WINDOW_SIZE, FeatureSetId, Normalizer,
@@ -233,10 +236,22 @@ def _prepare(cfg: ExperimentConfig, dataset: Optional[Dataset]):
 
 
 def _features(fs: FeatureSetId, splits, normalizer):
-    """Features stage: ``normalizer(fs, features)`` and each split's windows."""
-    feats = {name: assemble_features(part, fs) for name, part in splits.items()}
-    nz = normalizer(fs, feats)
-    return nz, {name: window(apply_normalizer(nz, values)) for name, values in feats.items()}
+    """Features stage: ``normalizer(fs, train features)`` and each split's windows.
+
+    The splits start with train.  One split's features are built at a time:
+    the raw copy is dropped once normalized and the normalized copy once
+    windowed, so at most two arrays of one split are alive beside the
+    windows.
+    """
+    nz, windows = None, {}
+    for name, part in splits.items():
+        values = assemble_features(part, fs)
+        if name == "train":
+            nz = normalizer(fs, values)
+        values = apply_normalizer(nz, values)
+        windows[name] = window(values)
+        del values
+    return nz, windows
 
 
 def _fit_detector(det: DetectorSpec, fs: FeatureSetId, train: np.ndarray,
@@ -270,9 +285,13 @@ def _load_detector(kind: DetectorKind, combo_dir: Path):
 
 
 def _score(model, fs: FeatureSetId, windows) -> Dict[str, np.ndarray]:
-    """Score stage: each split's (samples, windows) matrix of window errors."""
+    """Score stage: each split's (samples, windows) matrix of window errors.
+
+    ``window_errors`` runs on ``PREDICT_ROWS`` windows at a time, so no
+    detector holds a temporary the size of a whole split.
+    """
     per_sample = feature_length(fs) // WINDOW_SIZE
-    return {name: model.window_errors(w).reshape(-1, per_sample)
+    return {name: by_chunks(model.window_errors, w).reshape(-1, per_sample)
             for name, w in windows.items()}
 
 
@@ -318,7 +337,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> Experiment
         th = detect.calibrate_threshold(errors["threshold"].ravel())
         return _decide(Combination(det, fs, th, model=model, normalizer=nz), splits, errors)
 
-    return _write(cfg, _grid(cfg, splits, lambda fs, feats: fit_normalizer(feats["train"]),
+    return _write(cfg, _grid(cfg, splits, lambda fs, train: fit_normalizer(train),
                              combination))
 
 
@@ -333,8 +352,7 @@ def train_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> None:
         th = detect.calibrate_threshold(errors["threshold"].ravel())
         return Combination(det, fs, th, model=model, normalizer=nz)
 
-    _write(cfg, _grid(cfg, splits, lambda fs, feats: fit_normalizer(feats["train"]),
-                      combination))
+    _write(cfg, _grid(cfg, splits, lambda fs, train: fit_normalizer(train), combination))
 
 
 def evaluate_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> ExperimentReport:

@@ -107,7 +107,9 @@ class Dense(Layer):
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"{self.describe()}: expected last axis {self.in_dim}, "
                              f"got {x.shape}")
-        return x @ self.W + self.b, x
+        y = x @ self.W
+        y += self.b
+        return y, x
 
     def backward(self, grad, cache):
         x = cache
@@ -488,13 +490,23 @@ LAYER_KINDS = {cls.__name__: cls for cls in
 
 
 def layer_from_spec(spec: dict, what="layer") -> Layer:
-    """The layer a ``spec()`` describes; a value that does not have its argument's
-    annotated type, such as ``"units": 64.7``, is a ``UsageError`` naming it."""
+    """The layer a ``spec()`` describes, with every constructor argument given.
+
+    A missing argument, a value that does not have its argument's annotated
+    type, such as ``"units": 64.7``, and a list element that is not an
+    integer (a list argument is a shape) are each a ``UsageError`` naming it.
+    """
     kind = spec.get("kind")
     if kind not in LAYER_KINDS:
         raise ShapeError(f"unknown layer kind {kind!r}")
     cls = LAYER_KINDS[kind]
     types = field_types(cls.__init__)
+    missing = [k for k in types if k not in spec]
+    if missing:
+        raise UsageError(f"{kind} {what} lacks the key {missing[0]!r}")
     kwargs = {k: typed_value(v, types[k], f"{k} of {what}", UsageError)
               if k in types else v for k, v in spec.items() if k != "kind"}
+    for k in [k for k, tp in types.items() if tp is list]:
+        for i, item in enumerate(kwargs[k]):
+            typed_value(item, int, f"{k}[{i}] of {what}", UsageError)
     return cls(**kwargs)

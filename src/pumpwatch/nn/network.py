@@ -21,17 +21,38 @@ from .layers import layer_from_spec
 
 _CHECKPOINT_TAG = "pumpwatch-model-v1"
 
-# Rows per forward in ``Network.predict``.  Measured on 2 cores with one
-# OpenBLAS thread and numpy 2.4.6: on 640 windows a 3-channel CNN
-# holds a tracemalloc peak of 28.1 / 14.4 / 7.8 MiB at 512 / 256 / 128 rows,
-# and a 3-channel LSTM (n=64) 34.6 / 17.8 / 9.6 MiB; 256 is also no slower.
-# 128 is worse: glibc sets its heap trim threshold to twice the largest
-# mmapped block freed so far, and at 128 rows the CNN's largest column
-# buffer (4.2 MB) leaves it below what one training step frees, so every
-# step of a later fit returns its memory and faults it back in: a
+# Rows per chunk of ``by_chunks``, which bounds the memory of all scoring:
+# ``Network.predict`` runs one forward per chunk, and the score stage of the
+# harness calls every detector's ``window_errors`` per chunk.  Measured on 2
+# cores with one OpenBLAS thread and numpy 2.4.6: on 640 windows a 3-channel
+# CNN holds a tracemalloc peak of 28.1 / 14.4 / 7.8 MiB at 512 / 256 / 128
+# rows, and a 3-channel LSTM (n=64) 34.6 / 17.8 / 9.6 MiB; 256 is also no
+# slower.  128 is worse: glibc sets its heap trim threshold to twice the
+# largest mmapped block freed so far, and at 128 rows the CNN's largest
+# column buffer (4.2 MB) leaves it below what one training step frees, so
+# every step of a later fit returns its memory and faults it back in: a
 # train_conv_dense benchmark call took about 96k minor faults against 6k at
 # 256 rows, and 18% more wall time.
 PREDICT_ROWS = 256
+
+
+def by_chunks(fn, x, rows=PREDICT_ROWS):
+    """``fn`` applied to each ``rows``-row chunk of ``x``, written into one new array.
+
+    Only one chunk's temporaries are alive at a time, beside the output.  An
+    empty ``x`` still makes one call, which gives the output its trailing
+    shape and dtype.  ``fn`` must return one row per row of its chunk.
+    """
+    out = None
+    for start in range(0, max(len(x), 1), rows):
+        chunk = x[start:start + rows]
+        part = fn(chunk)
+        if len(part) != len(chunk):
+            raise ShapeError(f"{len(chunk)} rows in, {len(part)} rows out")
+        if out is None:
+            out = np.empty((len(x),) + part.shape[1:], dtype=part.dtype)
+        out[start:start + len(chunk)] = part
+    return out
 
 
 def mse_loss(output, target):
@@ -96,7 +117,8 @@ class Network:
         """Forward pass in chunks of ``batch_size`` rows without retaining caches.
 
         The chunk bounds the memory of inference: a chunk's activations are
-        freed before the next chunk runs.  The default of 256 rows
+        freed before the next chunk runs, and each chunk's output is written
+        into one preallocated array (``by_chunks``).  The default of 256 rows
         (``PREDICT_ROWS``) holds half the activations of 512 at no loss of
         speed; 128 would hold less again, but then the heap returns every
         later training step's memory to the OS and faults it back in.
@@ -105,12 +127,8 @@ class Network:
         if (not isinstance(batch_size, (int, np.integer)) or isinstance(batch_size, bool)
                 or batch_size < 1):
             raise UsageError(f"batch_size must be a positive integer, got {batch_size!r}")
-        outs = []
-        # An empty x still runs one forward, which gives the empty output.
-        for start in range(0, max(len(x), 1), batch_size):
-            out, _ = self.forward(x[start:start + batch_size], keep_caches=False)
-            outs.append(out)
-        return np.concatenate(outs, axis=0)
+        return by_chunks(lambda chunk: self.forward(chunk, keep_caches=False)[0],
+                         x, batch_size)
 
     def parameters(self) -> OrderedDict:
         """Live references, ordered by layer then local name."""

@@ -4,12 +4,13 @@ import dataclasses
 import json
 import math
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pumpwatch import detect, harness
+from pumpwatch import baseline, detect, harness
 from pumpwatch.dataset import (Dataset, GeneratorConfig, SplitSpec,
                                generate_synthetic)
 from pumpwatch.dataset import split as split_dataset
@@ -20,7 +21,8 @@ from pumpwatch.harness import (Combination, DetectorKind, DetectorSpec,
                                parse_feature_sets, render_tables,
                                resolved_config_dict, run_experiment,
                                train_experiment)
-from pumpwatch.models import Autoencoder
+from pumpwatch.models import Autoencoder, build_cnn, build_dnn, build_lstm
+from pumpwatch.nn.network import PREDICT_ROWS, by_chunks
 from pumpwatch.nn.train import TrainConfig
 from pumpwatch.signal import (FEATURE_SET_ORDER, FeatureSetId, Normalizer,
                               apply_normalizer, assemble_features,
@@ -380,6 +382,55 @@ def test_every_detector_round_trips_through_save_and_load(tmp_path, small_datase
         assert model.kind is loaded.kind is kind
     assert np.array_equal(loaded.window_errors(threshold_w),
                           model.window_errors(threshold_w))
+
+
+@pytest.fixture(scope="module")
+def vib3d_windows(small_dataset):
+    """The 640 three-channel windows of the small dataset's 40 samples."""
+    feats = assemble_features(small_dataset, FeatureSetId.VIB3D)
+    return window(apply_normalizer(fit_normalizer(feats), feats))
+
+
+def _scoring_model(kind, windows):
+    flat = baseline.flat_windows(windows[:320])
+    return {DetectorKind.BM_PCA: lambda: baseline.pca_fit(flat),
+            DetectorKind.BM_IQR: lambda: baseline.iqr_fit(flat),
+            DetectorKind.DNN: lambda: build_dnn(flat.shape[1], 64, seed=1),
+            DetectorKind.LSTM: lambda: build_lstm(16, channels=3, seed=2),
+            DetectorKind.CNN: lambda: build_cnn(channels=3, bottleneck=8, seed=3)}[kind]()
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 513])
+@pytest.mark.parametrize("kind", list(DetectorKind), ids=lambda k: k.name)
+def test_chunked_scoring_matches_whole_array_window_errors(vib3d_windows, kind, count):
+    model = _scoring_model(kind, vib3d_windows)
+    w = vib3d_windows[:count]
+    chunked = by_chunks(model.window_errors, w)  # the score stage's loop
+    whole = model.window_errors(w)
+    if kind is DetectorKind.BM_PCA and count > PREDICT_ROWS:
+        # How OpenBLAS rounds a row of a product depends on the product's
+        # row count (a one-row tail is a matrix-vector product, a short one
+        # takes a small-matrix kernel), so PCA scores past one chunk match
+        # the whole-array product to rounding only.  The autoencoders'
+        # predict already ran in these chunks, and IQR is elementwise.
+        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=0)
+    else:
+        assert chunked.shape == whole.shape == (count,)
+        assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
+
+
+def test_pca_scoring_holds_less_than_one_windows_array():
+    windows = np.random.default_rng(6).normal(size=(8 * PREDICT_ROWS, 3, 64))
+    model = baseline.pca_fit(baseline.flat_windows(windows[:512]))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        errors = harness._score(model, FeatureSetId.VIB3D, {"eval": windows})
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert errors["eval"].shape == (8 * PREDICT_ROWS // 16, 16)
+    assert peak < windows.nbytes
 
 
 def _one_detector_config(outdir, gen, fs=FeatureSetId.VIB1D):

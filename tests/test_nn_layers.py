@@ -19,6 +19,7 @@ from pumpwatch.errors import ShapeError, UsageError
 from pumpwatch.nn import layers
 from pumpwatch.nn import (Conv1D, Dense, Flatten, LSTM, MaxPool1D, Network,
                           RepeatLast, Reshape, Tanh, Upsample1D, mse_loss)
+from pumpwatch.nn.network import by_chunks
 
 
 def _num_grad(loss_fn, arr, eps=1e-6):
@@ -929,3 +930,35 @@ def test_checkpoint_value_of_the_wrong_type_is_a_usage_error(tmp_path, index, ke
     path.write_text(json.dumps(doc))
     with pytest.raises(UsageError, match=f"{key} of layer {index} of .*model.json"):
         Network.load(path)
+
+
+def test_layer_spec_without_an_argument_is_a_usage_error():
+    # return_sequences has a default, but a checkpoint must still hold it
+    with pytest.raises(UsageError, match="LSTM layer 3 of model.json lacks the key "
+                                         "'return_sequences'"):
+        layers.layer_from_spec({"kind": "LSTM", "in_dim": 3, "units": 4},
+                               "layer 3 of model.json")
+
+
+@pytest.mark.parametrize("shape, bad", [([4.9, 128], "target_shape\\[0\\]"),
+                                        ([4, "128"], "target_shape\\[1\\]"),
+                                        ([4, True], "target_shape\\[1\\]")],
+                         ids=["fraction", "string", "bool"])
+def test_layer_spec_list_element_that_is_not_an_integer_is_a_usage_error(shape, bad):
+    with pytest.raises(UsageError, match=f"{bad} of layer 17 must be an integer"):
+        layers.layer_from_spec({"kind": "Reshape", "target_shape": shape}, "layer 17")
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 513])
+def test_predict_writes_the_bits_of_concatenated_chunk_forwards(count):
+    net = Network([LSTM(2, 5), Dense(5, 3), Tanh(), Dense(3, 2)]).initialize(15)
+    x = np.random.default_rng(count).normal(size=(count, 4, 2))
+    chunks = [net.forward(x[s:s + 256], keep_caches=False)[0]
+              for s in range(0, max(count, 1), 256)]
+    assert _same_bits(net.predict(x), np.concatenate(chunks, axis=0))
+
+
+def test_by_chunks_refuses_a_function_that_changes_the_row_count():
+    x = np.zeros((300, 2))
+    with pytest.raises(ShapeError, match="256 rows in, 1 rows out"):
+        by_chunks(lambda chunk: chunk[:1], x)
