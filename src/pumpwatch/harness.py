@@ -30,7 +30,7 @@ Output files, and the records they are written from:
     timeline_{detector}_{featureset}.csv    a decided record's timeline
     artifacts/{featureset}/normalizer.json  a fitted normalizer
     artifacts/{detector}_{featureset}/      a fitted record: threshold.json
-        and the model file that ``DetectorKind.artifact`` names
+        and the model file that its row of ``models.DETECTORS`` names
 """
 
 from __future__ import annotations
@@ -44,18 +44,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import baseline, detect
+from . import detect
 from .dataset import (Dataset, GeneratorConfig, SplitSpec, generate_synthetic,
                       load_dataset, split)
 from .errors import ConfigError, PumpwatchError, UsageError
-from .models import (Autoencoder, DetectorKind, build_cnn, build_dnn, build_lstm,
-                     check_cnn_bottleneck, check_dnn_n, check_lstm_n)
+from .models import DETECTORS, DetectorKind
 from .nn.network import by_chunks
 from .nn.train import TrainConfig
 from .rng import derive_seed
 from .signal import (FEATURE_SET_ORDER, WINDOW_SIZE, FeatureSetId, Normalizer,
-                     apply_normalizer, assemble_features, channel_count,
-                     feature_length, fit_normalizer, window)
+                     apply_normalizer, assemble_features, feature_length,
+                     fit_normalizer, window)
 from .util import check_finite, dataclass_from_dict, read_json, typed_value, write_json
 
 
@@ -69,14 +68,7 @@ class DetectorSpec:
 
     def validate(self):
         check_finite(self)
-        if self.kind is DetectorKind.DNN:
-            check_dnn_n(self.n)
-        elif self.kind is DetectorKind.LSTM:
-            check_lstm_n(self.n)
-        elif self.kind is DetectorKind.CNN:
-            check_cnn_bottleneck(self.cnn_bottleneck)
-        elif self.kind is DetectorKind.BM_PCA:
-            baseline.check_variance_target(self.variance_target, ConfigError)
+        DETECTORS[self.kind].check(self)
         if self.train is not None:
             self.train.validate()
 
@@ -196,7 +188,7 @@ def parse_feature_sets(value) -> List[FeatureSetId]:
 
 
 def parse_detector(value) -> DetectorSpec:
-    """A detector from its kind name or from an object of DetectorSpec keys."""
+    """A detector from its kind name or from an object of the keys its kind reads."""
     doc = {"kind": value} if isinstance(value, str) else value
     if not isinstance(doc, dict):
         raise ConfigError(f"a detector must be a name or an object, got {value!r:.40}")
@@ -205,11 +197,12 @@ def parse_detector(value) -> DetectorSpec:
         raise ConfigError(f"unknown detector kind {name!r}; choose from "
                           f"{[d.name for d in DetectorKind]}")
     kind = DetectorKind[name.upper()]
-    train = doc.get("train")
-    if train is not None:
-        train = dataclass_from_dict(TrainConfig, train, f"train of detector {kind.name}")
-    return dataclass_from_dict(DetectorSpec, doc, f"detector {kind.name}",
-                               kind=kind, train=train)
+    what = f"detector {kind.name}"
+    spec = dataclass_from_dict(DetectorSpec, doc, what, keys=("kind", *DETECTORS[kind].keys),
+                               kind=kind, train=None)
+    if doc.get("train") is not None:
+        spec.train = dataclass_from_dict(TrainConfig, doc["train"], f"train of {what}")
+    return spec
 
 
 def resolved_config_dict(cfg: ExperimentConfig) -> dict:
@@ -218,7 +211,8 @@ def resolved_config_dict(cfg: ExperimentConfig) -> dict:
                     if cfg.generate is not None else {"load": cfg.load}),
         "split": {**dataclasses.asdict(cfg.split), "seed": cfg.split_seed},
         "feature_sets": [fs.name for fs in cfg.feature_sets],
-        "detectors": [{**dataclasses.asdict(d), "kind": d.kind.name}
+        "detectors": [{"kind": d.kind.name, **{k: dataclasses.asdict(d)[k]
+                                               for k in DETECTORS[d.kind].keys}}
                       for d in cfg.detectors],
         "train": dataclasses.asdict(cfg.train),
         "output_dir": str(cfg.output_dir),
@@ -257,31 +251,15 @@ def _features(fs: FeatureSetId, splits, normalizer):
 def _fit_detector(det: DetectorSpec, fs: FeatureSetId, train: np.ndarray,
                   traincfg: TrainConfig):
     """Fit stage: one detector fitted on the train windows."""
-    if det.kind is DetectorKind.BM_PCA:
-        return baseline.pca_fit(baseline.flat_windows(train),
-                                variance_target=det.variance_target)
-    if det.kind is DetectorKind.BM_IQR:
-        return baseline.iqr_fit(baseline.flat_windows(train))
     combo_seed = derive_seed(traincfg.seed, det.kind.name, fs.name)
-    channels, seed = channel_count(fs), derive_seed(combo_seed, "init")
-    if det.kind is DetectorKind.DNN:
-        ae = build_dnn(WINDOW_SIZE * channels, det.n, seed=seed)
-    elif det.kind is DetectorKind.LSTM:
-        ae = build_lstm(det.n, channels=channels, seed=seed)
-    else:
-        ae = build_cnn(channels=channels, bottleneck=det.cnn_bottleneck, seed=seed)
-    ae.fit(train, dataclasses.replace(traincfg, seed=derive_seed(combo_seed, "train")))
-    return ae
+    return DETECTORS[det.kind].fit(
+        det, train, dataclasses.replace(traincfg, seed=derive_seed(combo_seed, "train")),
+        derive_seed(combo_seed, "init"))
 
 
 def _load_detector(kind: DetectorKind, combo_dir: Path):
     """Load stage: the model the write stage saved in ``combo_dir``."""
-    path = combo_dir / kind.artifact
-    if kind is DetectorKind.BM_PCA:
-        return baseline.PcaModel.load(path)
-    if kind is DetectorKind.BM_IQR:
-        return baseline.IqrModel.load(path)
-    return Autoencoder.load(path, kind)
+    return DETECTORS[kind].load(combo_dir / DETECTORS[kind].artifact)
 
 
 def _score(model, fs: FeatureSetId, windows) -> Dict[str, np.ndarray]:
@@ -385,7 +363,7 @@ def _write(cfg: ExperimentConfig, combos: List[Combination]) -> Optional[Experim
         tag = f"{c.detector.kind.value}_{c.feature_set.value}"
         if c.model is not None:
             (artifacts / tag).mkdir(exist_ok=True)
-            c.model.save(artifacts / tag / c.detector.kind.artifact)
+            c.model.save(artifacts / tag / DETECTORS[c.detector.kind].artifact)
             c.threshold.save(artifacts / tag / "threshold.json")
         if c.metrics is not None:
             (outdir / f"timeline_{tag}.csv").write_text("".join(

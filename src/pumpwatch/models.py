@@ -15,15 +15,19 @@
 
 Sequence models take windows as (time=64, channels); the flat model takes
 the concatenated vector.  ``Autoencoder`` hides that difference.
+
+``DETECTORS`` declares each detector kind once, baselines included; no
+other module branches on the kind.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
 
-from . import nn
+from . import baseline, nn
 from .baseline import flat_windows
 from .errors import ConfigError, ShapeError
 from .nn.network import Network
@@ -41,11 +45,6 @@ class DetectorKind(Enum):
     @property
     def label(self):
         return self.name.replace("_", " ")
-
-    @property
-    def artifact(self):
-        """File name of the fitted model in its combination directory."""
-        return {"bm_pca": "pca.json", "bm_iqr": "iqr.json"}.get(self.value, "model.json")
 
 
 LSTM_FLOOR = 16
@@ -193,3 +192,39 @@ def build_cnn(timesteps=WINDOW_SIZE, channels=1, bottleneck=32, seed=0) -> Autoe
     ]
     net = Network(layers).initialize(seed)
     return Autoencoder(DetectorKind.CNN, net)
+
+
+def _fitted(ae: Autoencoder, windows, cfg: nn.TrainConfig) -> Autoencoder:
+    ae.fit(windows, cfg)
+    return ae
+
+
+# One row per kind: the DetectorSpec keys that its size check ``check(spec)``
+# and its ``fit(spec, (count, channels, 64) windows, train config, init seed)``
+# read, its ``load(path)`` and its model's file name.  The callables look each
+# function up by name when called, so a wrapper rebound over a module-level
+# name (as the benchmark's tracer does) is the one that runs.
+Detector = namedtuple("Detector", "keys check fit load artifact")
+DETECTORS = {
+    DetectorKind.DNN: Detector(("n", "train"), lambda s: check_dnn_n(s.n),
+        lambda s, w, cfg, seed: _fitted(build_dnn(WINDOW_SIZE * w.shape[1], s.n,
+                                                  seed=seed), w, cfg),
+        lambda path: Autoencoder.load(path, DetectorKind.DNN), "model.json"),
+    DetectorKind.LSTM: Detector(("n", "train"), lambda s: check_lstm_n(s.n),
+        lambda s, w, cfg, seed: _fitted(build_lstm(s.n, channels=w.shape[1],
+                                                   seed=seed), w, cfg),
+        lambda path: Autoencoder.load(path, DetectorKind.LSTM), "model.json"),
+    DetectorKind.CNN: Detector(
+        ("cnn_bottleneck", "train"), lambda s: check_cnn_bottleneck(s.cnn_bottleneck),
+        lambda s, w, cfg, seed: _fitted(build_cnn(channels=w.shape[1], seed=seed,
+                                                  bottleneck=s.cnn_bottleneck), w, cfg),
+        lambda path: Autoencoder.load(path, DetectorKind.CNN), "model.json"),
+    DetectorKind.BM_PCA: Detector(("variance_target",),
+        lambda s: baseline.check_variance_target(s.variance_target, ConfigError),
+        lambda s, w, cfg, seed: baseline.pca_fit(flat_windows(w),
+                                                 variance_target=s.variance_target),
+        lambda path: baseline.PcaModel.load(path), "pca.json"),
+    DetectorKind.BM_IQR: Detector((), lambda s: None,
+        lambda s, w, cfg, seed: baseline.iqr_fit(flat_windows(w)),
+        lambda path: baseline.IqrModel.load(path), "iqr.json"),
+}

@@ -77,19 +77,19 @@ def check_finite(obj):
             raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
 
 
-def dataclass_from_dict(cls, doc, what, skip=(), error=ConfigError, **parsed):
+def dataclass_from_dict(cls, doc, what, skip=(), error=ConfigError, keys=None, **parsed):
     """``cls(**doc)`` for a JSON object ``doc``, each value of its field's type.
 
     The keys in ``skip`` are left out.  ``parsed`` holds the fields the
     caller has built itself and passes them on unchecked.  A ``doc`` that is
-    not an object, a key that is neither a field of ``cls`` nor in ``skip``,
-    a missing field without a default and a value of the wrong type
-    (``typed_value``) are each ``error`` naming ``what``.
+    not an object, a key that is neither a field of ``cls`` (one of ``keys``,
+    if given) nor in ``skip``, a missing field without a default and a value
+    of the wrong type (``typed_value``) are each ``error`` naming ``what``.
     """
     if not isinstance(doc, dict):
         raise error(f"{what} must be a JSON object, not {type(doc).__name__}")
     fields = dataclasses.fields(cls)
-    names = {f.name for f in fields}
+    names = {f.name for f in fields} if keys is None else set(keys)
     unknown = set(doc) - names - set(skip)
     if unknown:
         raise error(f"unknown keys {sorted(unknown)} in {what}; "

@@ -186,6 +186,18 @@ def _run_flags(*flags):
     (_bad_file("report", "--report",
                json.dumps({"rows": [{"detector": "DNN"}]})), "input.json"),
     (_config({"detectors": [{"kind": "DNN", "N": 64, "bottleneck": 8}]}), "'N'"),
+    (_config({"detectors": [{"kind": "bm_iqr", "n": 7}]}),
+     "unknown keys ['n'] in detector BM_IQR; known keys are ['kind']"),
+    (_config({"detectors": [{"kind": "lstm", "cnn_bottleneck": 8}]}),
+     "unknown keys ['cnn_bottleneck'] in detector LSTM"),
+    (_config({"detectors": [{"kind": "bm_pca", "train": {"max_epochs": 3}}]}),
+     "unknown keys ['train'] in detector BM_PCA"),
+    (_config({"detectors": [{"kind": "bm_pca", "train": {"bogus": 1}}]}),
+     "unknown keys ['train'] in detector BM_PCA"),
+    (_config({"detectors": [{"kind": "dnn", "cnn_bottleneck": 8}]}),
+     "unknown keys ['cnn_bottleneck'] in detector DNN"),
+    (_config({"detectors": [{"kind": "cnn", "n": 64}]}),
+     "unknown keys ['n'] in detector CNN; known keys are ['cnn_bottleneck', 'kind', 'train']"),
     (_config({"dataset": {"generate": {}, "lod": "x.jsonl"}}), "lod"),
     (_config({"train": {"max_epochs": "5"}}), "max_epochs"),
     (_config({"train": {"batch_size": True}}), "batch_size"),
@@ -206,7 +218,10 @@ def _run_flags(*flags):
         "unknown-train-key", "unknown-split-key", "unknown-generate-key",
         "unknown-detector-train-key", "unknown-gen-config-key",
         "report-unknown-detector", "report-row-missing-key",
-        "detector-key-typo", "dataset-key-typo", "string-max-epochs",
+        "detector-key-typo", "iqr-reads-no-n", "lstm-reads-no-bottleneck",
+        "pca-reads-no-train", "pca-refuses-train-before-reading-it",
+        "dnn-reads-no-bottleneck", "cnn-reads-no-n",
+        "dataset-key-typo", "string-max-epochs",
         "bool-batch-size", "fractional-n", "string-n", "integer-kind",
         "integer-feature-sets", "string-detectors", "list-dataset",
         "string-split-seed", "fractional-samples-per-condition",

@@ -21,7 +21,7 @@ from pumpwatch.harness import (Combination, DetectorKind, DetectorSpec,
                                parse_feature_sets, render_tables,
                                resolved_config_dict, run_experiment,
                                train_experiment)
-from pumpwatch.models import Autoencoder, build_cnn, build_dnn, build_lstm
+from pumpwatch.models import DETECTORS, Autoencoder, build_cnn, build_dnn, build_lstm
 from pumpwatch.nn.network import PREDICT_ROWS, by_chunks
 from pumpwatch.nn.train import TrainConfig
 from pumpwatch.signal import (FEATURE_SET_ORDER, FeatureSetId, Normalizer,
@@ -193,14 +193,33 @@ def test_parse_detector():
         parse_detector("svm")
 
 
-def test_resolved_config_round_trips():
+# each detector holds every key its kind reads, and no other
+@pytest.mark.parametrize("detector", [
+    {"kind": "dnn", "n": 80, "train": {"max_epochs": 3}},
+    {"kind": "lstm", "n": 96, "train": {"batch_size": 8}},
+    {"kind": "cnn", "cnn_bottleneck": 8, "train": {"seed": 3}},
+    {"kind": "bm_pca", "variance_target": 0.5},
+    {"kind": "bm_iqr"},
+], ids=lambda d: d["kind"])
+def test_resolved_config_round_trips(detector):
     cfg = config_from_dict({
         "dataset": {"generate": {"n_samples_per_condition": 6}},
-        "detectors": [{"kind": "lstm", "n": 96}],
+        "detectors": [detector],
         "feature_sets": ["audio"],
     })
     resolved = resolved_config_dict(cfg)
     assert resolved_config_dict(config_from_dict(resolved)) == resolved
+    assert sorted(resolved["detectors"][0]) == sorted(detector)
+
+
+def test_detector_table_has_one_row_per_kind():
+    assert list(DETECTORS) == list(DetectorKind)
+    fields = {f.name for f in dataclasses.fields(DetectorSpec)} - {"kind"}
+    for kind, row in DETECTORS.items():
+        assert set(row.keys) <= fields, kind
+    assert {kind.name: row.artifact for kind, row in DETECTORS.items()} == {
+        "DNN": "model.json", "LSTM": "model.json", "CNN": "model.json",
+        "BM_PCA": "pca.json", "BM_IQR": "iqr.json"}
 
 
 # -------------------------------------------------------- pipeline outputs
@@ -375,7 +394,7 @@ def test_every_detector_round_trips_through_save_and_load(tmp_path, small_datase
     train_w, threshold_w = (window(apply_normalizer(nz, assemble_features(part, fs)))
                             for part in (train, threshold))
     model = harness._fit_detector(det, fs, train_w, TrainConfig(max_epochs=1))
-    model.save(tmp_path / kind.artifact)
+    model.save(tmp_path / DETECTORS[kind].artifact)
     loaded = harness._load_detector(kind, tmp_path)
     assert type(loaded) is type(model)
     if isinstance(model, Autoencoder):
