@@ -11,8 +11,9 @@ dataset split, in stages that return values:
   threshold calibrated on the healthy threshold split, or both loaded;
 - score: one (samples, windows) error matrix per split, each scored once,
   ``PREDICT_ROWS`` windows at a time into one preallocated vector;
-- decide: per split, each sample's majority-vote flag and timeline entry;
-  the eval split's metrics;
+- decide: each sample's majority-vote flag, and the timeline: one array per
+  column over all splits, in (timestamp, sample_id) order; the metrics of
+  its eval rows;
 - write: the only stage that writes files.  It runs once every combination
   is done, so a failing call writes nothing.
 
@@ -67,7 +68,7 @@ class DetectorSpec:
     train: Optional[TrainConfig] = None
 
     def validate(self):
-        check_finite(self)
+        check_finite(self, DETECTORS[self.kind].keys)
         DETECTORS[self.kind].check(self)
         if self.train is not None:
             self.train.validate()
@@ -107,15 +108,8 @@ class ExperimentConfig:
             det.validate()
 
 
-@dataclass
-class TimelineEntry:
-    sample_id: int
-    timestamp: float
-    score: float
-    threshold: float
-    flagged: bool
-    truth: bool
-    split: str
+# A timeline's columns, one array each; the CSV adds the threshold after score.
+TIMELINE_COLUMNS = ("sample_id", "timestamp", "score", "flagged", "truth", "split")
 
 
 @dataclass
@@ -127,7 +121,7 @@ class Combination:
     metrics: Optional[detect.Metrics] = None
     model: object = None
     normalizer: Optional[Normalizer] = None
-    timeline: List[TimelineEntry] = field(default_factory=list)
+    timeline: Optional[Dict[str, np.ndarray]] = None
     seconds: float = 0.0
 
 
@@ -137,8 +131,8 @@ class ExperimentReport:
     config: dict
 
     @property
-    def timelines(self) -> Dict[Tuple[str, str], List[TimelineEntry]]:
-        """Each row's timeline by (detector kind name, feature set name)."""
+    def timelines(self) -> Dict[Tuple[str, str], Dict[str, np.ndarray]]:
+        """Each row's timeline columns by (detector kind name, feature set name)."""
         return {(r.detector.kind.name, r.feature_set.name): r.timeline for r in self.rows}
 
 
@@ -274,19 +268,20 @@ def _score(model, fs: FeatureSetId, windows) -> Dict[str, np.ndarray]:
 
 
 def _decide(combo: Combination, splits, errors) -> Combination:
-    """Decide stage: each sample's flag and timeline entry, and the eval metrics."""
+    """Decide stage: the ``TIMELINE_COLUMNS`` in (timestamp, sample_id) order,
+    and the metrics of their eval rows."""
     th = combo.threshold
-    flags, entries = {}, []
-    for name, part in splits.items():
-        # One classify call per sample: the traced benchmark counts the calls.
-        flags[name] = [bool(detect.classify(row, th)[1]) for row in errors[name]]
-        scores = detect.make_score(errors[name]).tolist()
-        rows = zip(part.sample_id.tolist(), part.timestamp.tolist(), part.is_anomaly.tolist())
-        entries += [TimelineEntry(i, t, score, th.value, flagged, truth, name)
-                    for (i, t, truth), score, flagged in zip(rows, scores, flags[name])]
-    entries.sort(key=lambda e: (e.timestamp, e.sample_id))
-    metrics = detect.evaluate(flags["eval"], splits["eval"].is_anomaly.tolist())
-    return dataclasses.replace(combo, metrics=metrics, timeline=entries)
+    columns = [(part.sample_id, part.timestamp, detect.make_score(errors[name]),
+                # One classify call per sample: the traced benchmark counts the calls.
+                np.array([detect.classify(row, th)[1] for row in errors[name]], dtype=bool),
+                part.is_anomaly, np.full(len(part), name))
+               for name, part in splits.items()]
+    timeline = dict(zip(TIMELINE_COLUMNS, map(np.concatenate, zip(*columns))))
+    order = np.lexsort((timeline["sample_id"], timeline["timestamp"]))
+    timeline = {name: values[order] for name, values in timeline.items()}
+    ev = timeline["split"] == "eval"
+    metrics = detect.evaluate(timeline["flagged"][ev].tolist(), timeline["truth"][ev].tolist())
+    return dataclasses.replace(combo, metrics=metrics, timeline=timeline)
 
 
 def _grid(cfg: ExperimentConfig, splits, normalizer, combination) -> List[Combination]:
@@ -366,11 +361,12 @@ def _write(cfg: ExperimentConfig, combos: List[Combination]) -> Optional[Experim
             c.model.save(artifacts / tag / DETECTORS[c.detector.kind].artifact)
             c.threshold.save(artifacts / tag / "threshold.json")
         if c.metrics is not None:
+            th = repr(float(c.threshold.value))
+            rows = zip(*(c.timeline[name].tolist() for name in TIMELINE_COLUMNS))
             (outdir / f"timeline_{tag}.csv").write_text("".join(
                 ["sample_id,timestamp,score,threshold,flagged,truth,split\n"]
-                + [f"{e.sample_id},{float(e.timestamp)!r},{float(e.score)!r},"
-                   f"{float(e.threshold)!r},{str(e.flagged).lower()},"
-                   f"{str(e.truth).lower()},{e.split}\n" for e in c.timeline]))
+                + [f"{i},{t!r},{score!r},{th},{str(flagged).lower()},{str(truth).lower()},{part}\n"
+                   for i, t, score, flagged, truth, part in rows]))
     write_json({f"{c.detector.kind.name}/{c.feature_set.name}": c.seconds for c in combos},
                outdir / "runtimes.json")
     if any(c.metrics is None for c in combos):

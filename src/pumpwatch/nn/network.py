@@ -113,22 +113,15 @@ class Network:
                 grads[f"L{idx}.{local}"] = g
         return grads
 
-    def predict(self, x, batch_size=PREDICT_ROWS):
-        """Forward pass in chunks of ``batch_size`` rows without retaining caches.
+    def predict(self, x):
+        """Forward pass in chunks of ``PREDICT_ROWS`` rows without retaining caches.
 
         The chunk bounds the memory of inference: a chunk's activations are
         freed before the next chunk runs, and each chunk's output is written
-        into one preallocated array (``by_chunks``).  The default of 256 rows
-        (``PREDICT_ROWS``) holds half the activations of 512 at no loss of
-        speed; 128 would hold less again, but then the heap returns every
-        later training step's memory to the OS and faults it back in.
-        The output is always a new array.
+        into one preallocated array (``by_chunks``), which is always a new
+        array.
         """
-        if (not isinstance(batch_size, (int, np.integer)) or isinstance(batch_size, bool)
-                or batch_size < 1):
-            raise UsageError(f"batch_size must be a positive integer, got {batch_size!r}")
-        return by_chunks(lambda chunk: self.forward(chunk, keep_caches=False)[0],
-                         x, batch_size)
+        return by_chunks(lambda chunk: self.forward(chunk, keep_caches=False)[0], x)
 
     def parameters(self) -> OrderedDict:
         """Live references, ordered by layer then local name."""

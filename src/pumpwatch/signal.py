@@ -127,11 +127,17 @@ def fft_magnitude(series) -> np.ndarray:
 
 
 def assemble_features(ds: Dataset, fs: FeatureSetId) -> np.ndarray:
-    """Build the (samples, channels, length) feature array of one split."""
-    values = np.stack([vib_norm(*map(ds.channel_view, ("vib_x", "vib_y", "vib_z")))
-                       if name == "vib1d" else ds.channel_view(name)
-                       for name in _channels(fs)], axis=1)
-    return fft_magnitude(values) if fs.is_fft else values
+    """Build the (samples, channels, length) feature array of one split, one
+    channel at a time: an FFT set holds one channel's spectrum at a time."""
+    names, out = _channels(fs), None
+    for c, name in enumerate(names):
+        values = (vib_norm(*map(ds.channel_view, ("vib_x", "vib_y", "vib_z")))
+                  if name == "vib1d" else ds.channel_view(name))
+        values = fft_magnitude(values) if fs.is_fft else values
+        if out is None:  # after the first channel, whose temporaries are gone
+            out = np.empty((len(ds), len(names), values.shape[-1]))
+        out[:, c] = values
+    return out
 
 
 def _check_features(arr, what) -> np.ndarray:

@@ -63,18 +63,19 @@ def typed_value(value, tp, what, error=ConfigError):
     raise error(f"{what} must be {_JSON_TYPES[tp]}, got {value!r:.40}")
 
 
-def check_finite(obj):
-    """A ConfigError naming the first float field of ``obj`` that is NaN or infinite.
+def check_finite(obj, names=None):
+    """A ConfigError naming the first float field of ``obj`` (of ``names``, if
+    given) that is NaN or infinite.
 
     Every config dataclass's ``validate`` calls this first, so a config file
     (JSON allows NaN and Infinity), a CLI flag and the Python API all pass
     through it.
     """
     types = field_types(type(obj))
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if types[f.name] is float and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+    for name in [f.name for f in dataclasses.fields(obj)] if names is None else names:
+        value = getattr(obj, name)
+        if types[name] is float and not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def dataclass_from_dict(cls, doc, what, skip=(), error=ConfigError, keys=None, **parsed):

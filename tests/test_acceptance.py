@@ -191,8 +191,8 @@ def test_criterion_07_vibration_magnitude_is_rotation_invariant(tmp_path):
             train=TrainConfig(max_epochs=10),
             output_dir=str(outdir))
         report = run_experiment(cfg, dataset)
-        return {key: {e.sample_id: e.flagged for e in entries}
-                for key, entries in report.timelines.items()}
+        return {key: dict(zip(timeline["sample_id"].tolist(), timeline["flagged"].tolist()))
+                for key, timeline in report.timelines.items()}
 
     base = flags(ds, tmp_path / "base")
     mixed = flags(rotated, tmp_path / "rotated")

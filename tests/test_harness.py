@@ -173,6 +173,10 @@ def test_detector_size_checks_ignore_other_kinds_fields():
                  variance_target=5.0).validate()
     DetectorSpec(kind=DetectorKind.CNN, n=1, variance_target=0.0).validate()
     DetectorSpec(kind=DetectorKind.LSTM, n=500, cnn_bottleneck=0).validate()
+    # and a kind that does not read variance_target takes it non-finite too
+    for kind in set(DetectorKind) - {DetectorKind.BM_PCA}:
+        for bad in (math.nan, math.inf, -math.inf):
+            DetectorSpec(kind=kind, variance_target=bad).validate()
 
 
 def test_parse_feature_sets():
@@ -274,47 +278,50 @@ def test_threshold_matches_calibration_protocol(experiment, small_dataset, tag):
 
 def test_timeline_covers_every_sample_in_time_order(experiment, small_dataset):
     _, report, _ = experiment
-    for entries in report.timelines.values():
-        assert sorted(e.sample_id for e in entries) == \
+    for timeline in report.timelines.values():
+        assert sorted(timeline["sample_id"].tolist()) == \
             sorted(s.sample_id for s in small_dataset)
-        stamps = [e.timestamp for e in entries]
+        stamps = timeline["timestamp"].tolist()
         assert stamps == sorted(stamps)
-        assert {e.split for e in entries} == {"train", "threshold", "eval"}
+        assert set(timeline["split"].tolist()) == {"train", "threshold", "eval"}
 
 
 def test_timeline_truth_matches_dataset(experiment, small_dataset):
     _, report, _ = experiment
     truth = {s.sample_id: s.is_anomaly for s in small_dataset}
-    for entries in report.timelines.values():
-        for e in entries:
-            assert e.truth == truth[e.sample_id]
+    for timeline in report.timelines.values():
+        for sample_id, is_anomaly in zip(timeline["sample_id"].tolist(),
+                                         timeline["truth"].tolist()):
+            assert is_anomaly == truth[sample_id]
 
 
 def test_report_metrics_recomputable_from_timeline(experiment):
     _, report, _ = experiment
     for row in report.rows:
-        entries = report.timelines[(row.detector.kind.name, row.feature_set.name)]
-        ev = [e for e in entries if e.split == "eval"]
-        got = detect.evaluate([e.flagged for e in ev], [e.truth for e in ev])
+        timeline = report.timelines[(row.detector.kind.name, row.feature_set.name)]
+        ev = timeline["split"] == "eval"
+        got = detect.evaluate(timeline["flagged"][ev], timeline["truth"][ev])
         assert got == row.metrics
 
 
 def test_timeline_csv_round_trips(experiment):
     _, report, outdir = experiment
     key = (DetectorKind.BM_IQR.name, FeatureSetId.VIB1D.name)
-    entries = report.timelines[key]
+    timeline = report.timelines[key]
+    threshold, = [r.threshold.value for r in report.rows
+                  if (r.detector.kind.name, r.feature_set.name) == key]
     lines = (outdir / "timeline_bm_iqr_vib1d.csv").read_text().splitlines()
     assert lines[0] == "sample_id,timestamp,score,threshold,flagged,truth,split"
-    assert len(lines) == len(entries) + 1
-    for line, e in zip(lines[1:], entries):
+    assert len(lines) == len(timeline["sample_id"]) + 1
+    for i, line in enumerate(lines[1:]):
         sid, ts, score, th, flagged, truth, part = line.split(",")
-        assert int(sid) == e.sample_id
-        assert float(ts) == e.timestamp          # repr floats reparse exactly
-        assert float(score) == e.score
-        assert float(th) == e.threshold
-        assert flagged == str(e.flagged).lower()
-        assert truth == str(e.truth).lower()
-        assert part == e.split
+        assert int(sid) == timeline["sample_id"][i]
+        assert float(ts) == timeline["timestamp"][i]  # repr floats reparse exactly
+        assert float(score) == timeline["score"][i]
+        assert float(th) == threshold
+        assert flagged == str(timeline["flagged"][i]).lower()
+        assert truth == str(timeline["truth"][i]).lower()
+        assert part == timeline["split"][i]
 
 
 def test_artifacts_contain_no_non_finite_numbers(experiment):
@@ -478,8 +485,27 @@ def test_bm_iqr_flags_every_nan_sample(tmp_path, small_dataset):
         n_samples_per_condition=8, seed=7))
     report = run_experiment(cfg, poisoned)
     timeline = report.timelines[("BM_IQR", "VIB1D")]
-    nan_rows = [e for e in timeline if e.truth]
-    assert nan_rows and all(e.flagged and e.score == 1.0 for e in nan_rows)
+    nan_rows = timeline["truth"]
+    assert nan_rows.any() and timeline["flagged"][nan_rows].all()
+    assert (timeline["score"][nan_rows] == 1.0).all()
+
+
+@pytest.mark.parametrize("block", [1000, 8], ids=["one-timestamp", "blocks-of-8"])
+def test_timeline_breaks_timestamp_ties_by_sample_id(tmp_path, small_dataset, block):
+    # Timestamps fall as sample ids rise, and each block of ids shares one
+    # timestamp, so neither key alone, nor the order of the splits, gives
+    # the (timestamp, sample_id) order.
+    samples = [dataclasses.replace(s, timestamp=1e9 - 60.0 * (i // block))
+               for i, s in enumerate(small_dataset)]
+    stamped = Dataset(samples=samples, provenance=small_dataset.provenance)
+    cfg = _one_detector_config(tmp_path / "out", GeneratorConfig(
+        n_samples_per_condition=8, seed=7))
+    report = run_experiment(cfg, stamped)
+    want = [s.sample_id for s in sorted(samples, key=lambda s: (s.timestamp, s.sample_id))]
+    timeline = report.timelines[("BM_IQR", "VIB1D")]
+    assert timeline["sample_id"].tolist() == want
+    lines = (tmp_path / "out" / "timeline_bm_iqr_vib1d.csv").read_text().splitlines()
+    assert [int(line.split(",")[0]) for line in lines[1:]] == want
 
 
 def test_train_experiment_builds_no_eval_features(tmp_path, small_dataset,

@@ -535,7 +535,7 @@ def test_lstm_recipe_predict_memory_is_capped():
     x = np.random.default_rng(27).normal(size=(768, 64, 3))
     tracemalloc.start()
     try:
-        net.predict(x, batch_size=512)
+        by_chunks(lambda c: net.forward(c, keep_caches=False)[0], x, rows=512)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -560,7 +560,8 @@ def test_lstm_recipe_predict_equals_cached_forward():
     from pumpwatch.models import build_lstm
     net = build_lstm(n=64, channels=3, seed=1).network
     x = np.random.default_rng(25).normal(size=(6, 64, 3))
-    assert np.array_equal(net.predict(x, batch_size=512), net.forward(x)[0])
+    assert np.array_equal(by_chunks(lambda c: net.forward(c, keep_caches=False)[0], x,
+                                    rows=512), net.forward(x)[0])
 
 
 def _reference_lstm_backward(layer, grad, cache):
@@ -755,22 +756,11 @@ def test_predict_matches_forward_in_chunks():
     x = np.random.default_rng(19).normal(size=(10, 4))
     full, _ = net.forward(x, keep_caches=False)
     # chunked BLAS calls may round differently, so equivalence not identity
-    assert np.allclose(net.predict(x, batch_size=3), full, atol=1e-12)
-    assert np.array_equal(net.predict(x, batch_size=64), full)
-
-
-@pytest.mark.parametrize("batch_size", [0, -1, 2.5, True, None, "8"])
-def test_predict_rejects_a_bad_batch_size(batch_size):
-    net = _small_net()
-    x = np.zeros((5, 4))
-    with pytest.raises(UsageError, match=f"batch_size.*{batch_size!r}"):
-        net.predict(x, batch_size=batch_size)
-
-
-def test_predict_takes_a_numpy_integer_batch_size():
-    net = _small_net()
-    x = np.random.default_rng(29).normal(size=(5, 4))
-    assert np.array_equal(net.predict(x, batch_size=np.int64(2)), net.predict(x, batch_size=2))
+    assert np.allclose(by_chunks(lambda c: net.forward(c, keep_caches=False)[0], x,
+                                 rows=3), full, atol=1e-12)
+    assert np.array_equal(by_chunks(lambda c: net.forward(c, keep_caches=False)[0], x,
+                                    rows=64), full)
+    assert np.array_equal(net.predict(x), full)  # 10 rows are one PREDICT_ROWS chunk
 
 
 def test_initialize_is_seed_deterministic():
