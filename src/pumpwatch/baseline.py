@@ -32,6 +32,8 @@ class PcaModel(JsonFields):
     k: int
     explained_variance_ratio: float
 
+    SHAPES = {"components": ("k", "n")}
+
     def window_errors(self, windows):
         return pca_scores(self, flat_windows(windows))
 

@@ -9,13 +9,13 @@ toward recall).  A window whose score is not a number (NaN, e.g. from a
 non-finite input that reached scoring) is not at or below the threshold,
 so it votes anomalous instead of silently counting as healthy.
 
-Scores and votes work on a split's window errors as one (samples, windows)
-matrix, which is the per-window error vector reshaped: every sample of a
-split has the same number of windows.  A sample's score is the mean of its
-row.  A row ``mean`` adds in the same order as the one-sample mean did, so
-the scores, and the timelines that print them, are unchanged to the last
-bit; ``np.add.reduceat`` over the flat vector adds in another order and
-differs in the last bit on many rows.
+Scores, votes and thresholds take a split's window errors as one
+(samples, windows) matrix, the per-window error vector reshaped: every
+sample of a split has the same number of windows, and one sample is a
+(1, windows) row.  A sample's score is the mean of its row, which adds in
+the same order as a one-sample mean, so the timelines that print the
+scores keep their last bit; ``np.add.reduceat`` over the flat vector adds
+in another order and differs in the last bit on many rows.
 """
 
 from __future__ import annotations
@@ -51,26 +51,22 @@ class Metrics:
 
 def _error_matrix(errs) -> np.ndarray:
     errs = np.asarray(errs, dtype=np.float64)
-    if errs.ndim not in (1, 2):
-        raise ShapeError(f"window errors must be (windows,) or (samples, windows), "
+    if errs.ndim != 2:
+        raise ShapeError(f"window errors must be a (samples, windows) matrix, "
                          f"got shape {errs.shape}")
-    if errs.shape[-1] == 0:
+    if errs.shape[1] == 0:
         raise UsageError("a sample needs at least one window error")
     return errs
 
 
 def make_score(errs) -> np.ndarray:
-    """Sample scores: the mean window error of each sample.
-
-    ``errs`` is a (samples, windows) matrix, one row per sample, or a
-    single sample's (windows,) vector, which gives one score.
-    """
-    return _error_matrix(errs).mean(axis=-1)
+    """Sample scores: the mean window error of each row of ``errs``."""
+    return _error_matrix(errs).mean(axis=1)
 
 
 def calibrate_threshold(errors) -> Threshold:
-    """mean + population standard deviation (divisor N) of healthy errors."""
-    errors = [float(e) for e in errors]
+    """mean + population standard deviation (divisor N) of every healthy error."""
+    errors = [float(e) for e in np.ravel(errors)]
     if len(errors) < 2:
         raise CalibrationError(f"need at least 2 calibration errors, got {len(errors)}")
     if any(not math.isfinite(e) or e < 0 for e in errors):
@@ -82,36 +78,29 @@ def calibrate_threshold(errors) -> Threshold:
 
 
 def classify(errs, th: Threshold):
-    """Majority vote over the windows of each sample: (votes, flagged).
+    """Majority vote over the windows of each row of ``errs``: (votes, flagged).
 
-    Works on the last axis, so a (samples, windows) matrix gives one vote
-    count and flag per row and a single sample's (windows,) vector gives
-    scalars.  A window votes anomalous unless its error is at or below the
-    threshold, so a NaN error votes anomalous; a sample is flagged when at
-    least half of its windows vote.
+    A window votes anomalous unless its error is at or below the threshold,
+    so a NaN error votes anomalous; a sample is flagged when at least half
+    of its windows vote.
     """
     errs = _error_matrix(errs)
-    votes = (~(errs <= th.value)).sum(axis=-1)
-    return votes, votes * 2 >= errs.shape[-1]
+    votes = (~(errs <= th.value)).sum(axis=1)
+    return votes, votes * 2 >= errs.shape[1]
 
 
 def evaluate(predicted, truth) -> Metrics:
     """Confusion counts and Acc/P/R/F1 with anomalous as the positive class.
 
+    ``predicted`` and ``truth`` are equal-length boolean vectors.
     Zero-denominator conventions: precision, recall and F1 are 0 when their
     denominators are 0, so all-negative predictors still yield defined rows.
     """
-    predicted = list(predicted)
-    truth = list(truth)
-    if len(predicted) != len(truth):
-        raise UsageError(f"length mismatch: {len(predicted)} predictions "
-                         f"vs {len(truth)} truths")
-    if not predicted:
-        raise UsageError("evaluate needs at least one pair")
-    tp = sum(1 for p, t in zip(predicted, truth) if p and t)
-    fp = sum(1 for p, t in zip(predicted, truth) if p and not t)
-    tn = sum(1 for p, t in zip(predicted, truth) if not p and not t)
-    fn = sum(1 for p, t in zip(predicted, truth) if not p and t)
+    predicted, truth = np.asarray(predicted, dtype=bool), np.asarray(truth, dtype=bool)
+    if predicted.ndim != 1 or predicted.shape != truth.shape or not len(predicted):
+        raise UsageError(f"evaluate needs at least one pair, as two vectors of one "
+                         f"length; got shapes {predicted.shape} and {truth.shape}")
+    tn, fn, fp, tp = np.bincount(2 * predicted + truth, minlength=4).tolist()
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = (2.0 * precision * recall / (precision + recall)

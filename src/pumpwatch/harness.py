@@ -7,18 +7,19 @@ dataset split, in stages that return values:
 - features: per feature set, each split's normalized windows, shared by all
   detectors; the normalizer is fitted on the healthy train split or loaded.
   One split's features are built at a time and dropped once windowed;
-- fit or load: per combination, a model fitted on the train windows and a
-  threshold calibrated on the healthy threshold split, or both loaded;
+- fit or load: per combination, ``_fit`` fits a model on the train windows,
+  scores the splits it is given and calibrates the threshold on the healthy
+  threshold split's error matrix; or the model and threshold are loaded;
 - score: one (samples, windows) error matrix per split, each scored once,
   ``PREDICT_ROWS`` windows at a time into one preallocated vector;
-- decide: each sample's majority-vote flag, and the timeline: one array per
-  column over all splits, in (timestamp, sample_id) order; the metrics of
-  its eval rows;
+- decide: each sample's majority-vote flag from its (1, windows) row, and
+  the timeline: one array per column over all splits, in (timestamp,
+  sample_id) order; the metrics of its eval rows, from two boolean arrays;
 - write: the only stage that writes files.  It runs once every combination
   is done, so a failing call writes nothing.
 
-``run_experiment`` fits and decides, ``train_experiment`` fits and scores
-only the threshold split, and ``evaluate_experiment`` loads and decides.
+``run_experiment`` fits (scoring every split) and decides, ``train_experiment``
+fits (scoring the threshold split only), and ``evaluate_experiment`` loads and decides.
 Each combination yields one ``Combination`` record, its report row, and the
 write stage reads nothing else: ``model`` and ``normalizer`` if the call
 fitted them, ``metrics`` and ``timeline`` if it decided, and
@@ -242,20 +243,6 @@ def _features(fs: FeatureSetId, splits, normalizer):
     return nz, windows
 
 
-def _fit_detector(det: DetectorSpec, fs: FeatureSetId, train: np.ndarray,
-                  traincfg: TrainConfig):
-    """Fit stage: one detector fitted on the train windows."""
-    combo_seed = derive_seed(traincfg.seed, det.kind.name, fs.name)
-    return DETECTORS[det.kind].fit(
-        det, train, dataclasses.replace(traincfg, seed=derive_seed(combo_seed, "train")),
-        derive_seed(combo_seed, "init"))
-
-
-def _load_detector(kind: DetectorKind, combo_dir: Path):
-    """Load stage: the model the write stage saved in ``combo_dir``."""
-    return DETECTORS[kind].load(combo_dir / DETECTORS[kind].artifact)
-
-
 def _score(model, fs: FeatureSetId, windows) -> Dict[str, np.ndarray]:
     """Score stage: each split's (samples, windows) matrix of window errors.
 
@@ -267,20 +254,32 @@ def _score(model, fs: FeatureSetId, windows) -> Dict[str, np.ndarray]:
             for name, w in windows.items()}
 
 
-def _decide(combo: Combination, splits, errors) -> Combination:
+def _fit(cfg: ExperimentConfig, scored, det: DetectorSpec, fs: FeatureSetId, nz, windows):
+    """Fit stage: a model fitted on the train windows, scored on the ``scored``
+    splits and calibrated on the threshold split's errors: (``Combination``, errors)."""
+    traincfg = det.train or cfg.train
+    combo_seed = derive_seed(traincfg.seed, det.kind.name, fs.name)
+    model = DETECTORS[det.kind].fit(det, windows["train"], dataclasses.replace(
+        traincfg, seed=derive_seed(combo_seed, "train")), derive_seed(combo_seed, "init"))
+    errors = _score(model, fs, {name: windows[name] for name in scored})
+    th = detect.calibrate_threshold(errors["threshold"])
+    return Combination(det, fs, th, model=model, normalizer=nz), errors
+
+
+def _decide(combo: Combination, errors, splits) -> Combination:
     """Decide stage: the ``TIMELINE_COLUMNS`` in (timestamp, sample_id) order,
     and the metrics of their eval rows."""
-    th = combo.threshold
     columns = [(part.sample_id, part.timestamp, detect.make_score(errors[name]),
                 # One classify call per sample: the traced benchmark counts the calls.
-                np.array([detect.classify(row, th)[1] for row in errors[name]], dtype=bool),
+                np.array([detect.classify(row[None], combo.threshold)[1][0]
+                          for row in errors[name]], dtype=bool),
                 part.is_anomaly, np.full(len(part), name))
                for name, part in splits.items()]
     timeline = dict(zip(TIMELINE_COLUMNS, map(np.concatenate, zip(*columns))))
     order = np.lexsort((timeline["sample_id"], timeline["timestamp"]))
     timeline = {name: values[order] for name, values in timeline.items()}
     ev = timeline["split"] == "eval"
-    metrics = detect.evaluate(timeline["flagged"][ev].tolist(), timeline["truth"][ev].tolist())
+    metrics = detect.evaluate(timeline["flagged"][ev], timeline["truth"][ev])
     return dataclasses.replace(combo, metrics=metrics, timeline=timeline)
 
 
@@ -294,7 +293,9 @@ def _grid(cfg: ExperimentConfig, splits, normalizer, combination) -> List[Combin
             try:
                 combo = combination(det, fs, nz, windows)
             except PumpwatchError as e:
-                raise type(e)(f"{det.kind.name} on {fs.name}: {e}")
+                # Named in place, so its type, attributes and cause stay.
+                e.args = (f"{det.kind.name} on {fs.name}: {e}",)
+                raise
             combos.append(dataclasses.replace(combo, seconds=time.perf_counter() - started))
         del windows  # freed before the next feature set's windows are built
     return combos
@@ -303,29 +304,16 @@ def _grid(cfg: ExperimentConfig, splits, normalizer, combination) -> List[Combin
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> ExperimentReport:
     """Fit, evaluate and report the whole grid."""
     splits = _prepare(cfg, dataset)
-
-    def combination(det, fs, nz, windows):
-        model = _fit_detector(det, fs, windows["train"], det.train or cfg.train)
-        errors = _score(model, fs, windows)
-        th = detect.calibrate_threshold(errors["threshold"].ravel())
-        return _decide(Combination(det, fs, th, model=model, normalizer=nz), splits, errors)
-
     return _write(cfg, _grid(cfg, splits, lambda fs, train: fit_normalizer(train),
-                             combination))
+                             lambda *args: _decide(*_fit(cfg, splits, *args), splits)))
 
 
 def train_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> None:
     """Fit all combinations and write artifacts; no evaluation or report."""
     splits = _prepare(cfg, dataset)
     del splits["eval"]  # no eval features are built
-
-    def combination(det, fs, nz, windows):
-        model = _fit_detector(det, fs, windows["train"], det.train or cfg.train)
-        errors = _score(model, fs, {"threshold": windows["threshold"]})
-        th = detect.calibrate_threshold(errors["threshold"].ravel())
-        return Combination(det, fs, th, model=model, normalizer=nz)
-
-    _write(cfg, _grid(cfg, splits, lambda fs, train: fit_normalizer(train), combination))
+    _write(cfg, _grid(cfg, splits, lambda fs, train: fit_normalizer(train),
+                      lambda *args: _fit(cfg, ["threshold"], *args)[0]))
 
 
 def evaluate_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> ExperimentReport:
@@ -335,9 +323,9 @@ def evaluate_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> Exper
 
     def combination(det, fs, nz, windows):
         combo_dir = artifacts / f"{det.kind.value}_{fs.value}"
-        model = _load_detector(det.kind, combo_dir)
+        model = DETECTORS[det.kind].load(combo_dir / DETECTORS[det.kind].artifact)
         th = detect.Threshold.load(combo_dir / "threshold.json")
-        return _decide(Combination(det, fs, th), splits, _score(model, fs, windows))
+        return _decide(Combination(det, fs, th), _score(model, fs, windows), splits)
 
     return _write(cfg, _grid(cfg, splits, lambda fs, _: Normalizer.load(
         artifacts / fs.value / "normalizer.json"), combination))

@@ -38,8 +38,8 @@ def read_json(path):
         raise UsageError(f"{path} is not valid JSON: {e}")
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string", list: "a list", dict: "an object", np.ndarray: "a list"}
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               list: "a list", dict: "an object", np.ndarray: "a list of numbers in equal rows"}
 
 
 # Resolving the string annotations costs about 0.2 ms per class.
@@ -50,14 +50,19 @@ def typed_value(value, tp, what, error=ConfigError):
     """``value`` checked against the declared type ``tp``, as ``tp`` stores it.
 
     An int takes a JSON integer (not true, not 64.7), a float any JSON
-    number, stored as a float, a bool true or false and an ndarray a list,
-    stored as an array; str, list and dict take their own JSON type.
-    Anything else is ``error`` naming ``what``.
+    number, stored as a float, a bool true or false and an ndarray nested
+    lists of numbers in equal rows, stored as a float64 array; str, list
+    and dict take their own JSON type.  Anything else is ``error`` naming ``what``.
     """
     if tp is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
     if tp is np.ndarray and isinstance(value, list):
-        return np.asarray(value)
+        cells = np.array(value, dtype=object)  # a ragged list leaves lists in cells
+        try:
+            if set(map(type, cells.flat)) <= {int, float}:
+                return cells.astype(np.float64)
+        except OverflowError:  # an integer beyond the float range
+            pass
     if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
         return value
     raise error(f"{what} must be {_JSON_TYPES[tp]}, got {value!r:.40}")
@@ -109,10 +114,14 @@ def dataclass_from_dict(cls, doc, what, skip=(), error=ConfigError, keys=None, *
 class JsonFields:
     """save/load for a dataclass of numbers and arrays, as one JSON object.
 
-    Arrays are written as nested lists and read back as arrays; ``load``
-    checks every field's type (``typed_value``) and ignores keys that are
-    not fields, such as the ``extra`` keys ``save`` writes beside them.
+    Arrays are written as nested lists and read back as arrays.  ``load``
+    checks every field's type (``typed_value``) and that it is finite.  An
+    array is a vector of length ``n`` unless ``SHAPES`` names its
+    dimensions; each name is one length in every field.  Keys that are not
+    fields, such as the ``extra`` keys ``save`` writes beside them, are
+    ignored.
     """
+    SHAPES = {}
 
     def save(self, path, **extra):
         for f in dataclasses.fields(self):
@@ -126,5 +135,16 @@ class JsonFields:
         if not isinstance(doc, dict):
             raise UsageError(f"{path} does not hold a JSON object")
         names = {f.name for f in dataclasses.fields(cls)}
-        return dataclass_from_dict(cls, {k: v for k, v in doc.items() if k in names},
-                                   str(path), error=UsageError)
+        obj = dataclass_from_dict(cls, {k: v for k, v in doc.items() if k in names},
+                                  str(path), error=UsageError)
+        lengths = {}
+        for f in dataclasses.fields(cls):
+            value = getattr(obj, f.name)
+            dims = cls.SHAPES.get(f.name, ("n",)) if isinstance(value, np.ndarray) else ()
+            if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
+                raise UsageError(f"{f.name} in {path} must be finite")
+            if np.ndim(value) != len(dims) or any(lengths.setdefault(d, n) != n
+                                                  for d, n in zip(dims, np.shape(value))):
+                raise UsageError(f"{f.name} in {path} has the shape {np.shape(value)}, not "
+                                 f"({', '.join(dims)}) with each name one length in every field")
+        return obj

@@ -129,10 +129,29 @@ def _truncate(path):
     path.write_text(path.read_text()[:20])
 
 
+def _set(key, value):
+    """Corrupt one key of a JSON artifact; a callable maps its old value."""
+    def corrupt(path):
+        doc = json.loads(path.read_text())
+        doc[key] = value(doc[key]) if callable(value) else value
+        path.write_text(json.dumps(doc))
+    return corrupt
+
+
 @pytest.mark.parametrize("artifact, corrupt", [
     ("bm_pca_vib1d/pca.json", _drop_k),
     ("bm_iqr_vib1d/threshold.json", _truncate),
-], ids=["pca-without-k", "truncated-threshold"])
+    ("vib1d/normalizer.json", _set("mins", ["a"])),
+    ("vib1d/normalizer.json", _set("mins", [[0.0], [1.0, 2.0]])),
+    ("vib1d/normalizer.json", _set("mins", [[0.0]])),
+    ("bm_iqr_vib1d/iqr.json", _set("iqrs", lambda v: ["x"] + v[1:])),
+    ("bm_iqr_vib1d/iqr.json", _set("iqrs", lambda v: [True] * len(v))),
+    ("bm_pca_vib1d/pca.json", _set("mean", lambda v: [None] * len(v))),
+    ("bm_pca_vib1d/pca.json", _set("components", lambda v: v[0])),
+    ("bm_iqr_vib1d/threshold.json", _set("value", float("nan"))),
+], ids=["pca-without-k", "truncated-threshold", "normalizer-string", "normalizer-ragged",
+        "normalizer-2d", "iqr-string", "iqr-bools", "pca-null-mean", "pca-1d-components",
+        "threshold-nan"])
 def test_malformed_artifact_exits_2_naming_the_file(dataset_file, tmp_path, capsys,
                                                     artifact, corrupt):
     outdir = tmp_path / "out"

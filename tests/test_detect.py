@@ -4,6 +4,7 @@ The metric oracle is an independent brute-force confusion loop; the vote
 properties are exercised on seeded random fixtures.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,13 +20,15 @@ from pumpwatch.errors import CalibrationError, ShapeError, UsageError
 def test_make_score_takes_mean():
     scores = make_score([[1.0, 2.0, 6.0], [0.5, 0.5, 2.0]])
     assert scores.tolist() == [3.0, 1.0]
-    assert make_score([1.0, 2.0, 6.0]) == 3.0
-    with pytest.raises(UsageError):
-        make_score([])
     with pytest.raises(UsageError):
         make_score(np.zeros((2, 0)))
-    with pytest.raises(ShapeError):
-        make_score(np.zeros((2, 3, 4)))
+    th = Threshold(value=1.0, mean=1.0, std=0.0, calibration_count=2)
+    # only a (samples, windows) matrix: one sample's (windows,) vector is refused
+    for errs in ([1.0, 2.0, 6.0], [], np.zeros((2, 3, 4))):
+        with pytest.raises(ShapeError):
+            make_score(errs)
+        with pytest.raises(ShapeError):
+            classify(errs, th)
 
 
 # ---------------------------------------------------------------- threshold
@@ -173,11 +176,12 @@ def test_matrix_scores_and_votes_match_per_sample_code(windows):
     votes, flagged = classify(errs, th)
     assert votes.tolist() == [v for v, _ in ref]
     assert flagged.tolist() == [f for _, f in ref]
-    # one sample's row gives the same scalars as its row of the matrix
+    # one sample's (1, windows) row gives the same as its row of the matrix
     for i in (0, 17, 4999):
-        assert np.array_equal(make_score(errs[i]), want_scores[i], equal_nan=True)
-        one_votes, one_flag = classify(errs[i], th)
-        assert (int(one_votes), bool(one_flag)) == ref[i]
+        assert np.array_equal(make_score(errs[i:i + 1]), want_scores[i:i + 1],
+                              equal_nan=True)
+        one_votes, one_flag = classify(errs[i:i + 1], th)
+        assert (one_votes.tolist(), one_flag.tolist()) == ([ref[i][0]], [ref[i][1]])
 
 
 # ---------------------------------------------------------------- metrics
@@ -219,6 +223,10 @@ def test_evaluate_matches_bruteforce_oracle():
         predicted = [bool(b) for b in rng.integers(0, 2, size=n)]
         truth = [bool(b) for b in rng.integers(0, 2, size=n)]
         m = evaluate(predicted, truth)
+        # boolean arrays count the same, into Python numbers
+        from_arrays = evaluate(np.array(predicted), np.array(truth))
+        assert from_arrays == m
+        assert [type(v) for v in dataclasses.astuple(from_arrays)] == [float] * 4 + [int] * 4
 
         tp = fp = tn = fn = 0
         for p, t in zip(predicted, truth):

@@ -14,7 +14,8 @@ from pumpwatch import baseline, detect, harness
 from pumpwatch.dataset import (Dataset, GeneratorConfig, SplitSpec,
                                generate_synthetic)
 from pumpwatch.dataset import split as split_dataset
-from pumpwatch.errors import CalibrationError, ConfigError, ShapeError, UsageError
+from pumpwatch.errors import (CalibrationError, ConfigError, DatasetFormatError,
+                              ShapeError, TrainingError, UsageError)
 from pumpwatch.harness import (Combination, DetectorKind, DetectorSpec,
                                ExperimentConfig, ExperimentReport, config_from_dict,
                                evaluate_experiment, load_report, parse_detector,
@@ -270,7 +271,8 @@ def test_threshold_matches_calibration_protocol(experiment, small_dataset, tag):
     nz = Normalizer.load(outdir / "artifacts" / fs.value / "normalizer.json")
     wins = window(apply_normalizer(nz, assemble_features(parts[1], fs)))
     combo = outdir / "artifacts" / f"{tag}_{fs.value}"
-    model = harness._load_detector(DetectorKind(tag), combo)
+    row = DETECTORS[DetectorKind(tag)]
+    model = row.load(combo / row.artifact)
     want = detect.calibrate_threshold(model.window_errors(wins))
     got = detect.Threshold.load(combo / "threshold.json")
     assert got == want
@@ -400,9 +402,10 @@ def test_every_detector_round_trips_through_save_and_load(tmp_path, small_datase
     nz = fit_normalizer(assemble_features(train, fs))
     train_w, threshold_w = (window(apply_normalizer(nz, assemble_features(part, fs)))
                             for part in (train, threshold))
-    model = harness._fit_detector(det, fs, train_w, TrainConfig(max_epochs=1))
-    model.save(tmp_path / DETECTORS[kind].artifact)
-    loaded = harness._load_detector(kind, tmp_path)
+    row = DETECTORS[kind]
+    model = row.fit(det, train_w, TrainConfig(max_epochs=1), 0)
+    model.save(tmp_path / row.artifact)
+    loaded = row.load(tmp_path / row.artifact)
     assert type(loaded) is type(model)
     if isinstance(model, Autoencoder):
         assert model.kind is loaded.kind is kind
@@ -548,6 +551,29 @@ def test_empty_eval_split_is_a_usage_error(tmp_path):
     train_experiment(cfg)  # train never reads the eval split
     with pytest.raises(UsageError, match="at least one pair"):
         evaluate_experiment(cfg)
+
+
+def test_a_failing_combination_is_named_and_keeps_its_error(tmp_path, small_dataset,
+                                                           monkeypatch):
+    # the prefix names the combination; type, attributes and cause stay
+    gen = GeneratorConfig(n_samples_per_condition=8, seed=7)
+    cfg = dataclasses.replace(_one_detector_config(tmp_path / "out", gen),
+                              detectors=[DetectorSpec(kind=DetectorKind.DNN, n=64)],
+                              train=TrainConfig(learning_rate=1e300, max_epochs=2))
+    with pytest.raises(TrainingError, match="^DNN on VIB1D: epoch 0: ") as info, \
+            np.errstate(over="ignore", invalid="ignore"):  # the loss diverges on purpose
+        run_experiment(cfg, small_dataset)
+    assert info.value.epoch == 0
+
+    cause = ValueError("unreadable")
+
+    def fail(errors):
+        raise DatasetFormatError("bad row", line_number=3) from cause
+
+    monkeypatch.setattr(detect, "calibrate_threshold", fail)
+    with pytest.raises(DatasetFormatError, match="^BM_IQR on VIB1D: line 3: bad row$") as info:
+        run_experiment(_one_detector_config(tmp_path / "out", gen), small_dataset)
+    assert info.value.line_number == 3 and info.value.__cause__ is cause
 
 
 def test_identical_configs_reproduce_output_bytes(tmp_path, small_dataset):
