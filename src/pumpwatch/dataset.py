@@ -333,10 +333,7 @@ def _read_row(line, row, scalars, channels):
             raise DatasetFormatError(f"{name} is outside the {column.dtype} range, "
                                      f"got {obj[name]!r:.40}")
     for name, out in zip(CHANNELS, channels[row]):
-        try:
-            values = np.asarray(obj[name], dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise DatasetFormatError(f"channel {name} is not a list of numbers: {e}")
+        values = typed_value(obj[name], np.ndarray, f"channel {name}", DatasetFormatError)
         if values.shape != out.shape:
             raise DatasetFormatError(f"sample {obj['sample_id']}: channel {name} has "
                                      f"shape {values.shape}, expected {out.shape}")

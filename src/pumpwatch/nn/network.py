@@ -9,14 +9,13 @@ lossless and byte-deterministic (no archive timestamps, no text rounding).
 from __future__ import annotations
 
 import base64
-import json
 from collections import OrderedDict
 
 import numpy as np
 
 from ..errors import ShapeError, UsageError
 from ..rng import derive_seed
-from ..util import read_json
+from ..util import read_json, write_json
 from .layers import layer_from_spec
 
 _CHECKPOINT_TAG = "pumpwatch-model-v1"
@@ -155,13 +154,11 @@ class Network:
                 "data": base64.b64encode(
                     np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii"),
             }
-        with open(path, "w") as f:
-            json.dump(doc, f, sort_keys=True, indent=1)
-            f.write("\n")
+        write_json(doc, path)
 
     @classmethod
     def load(cls, path):
-        """A saved network; ``layer_from_spec`` checks each layer's values."""
+        """A saved network, each layer checked by ``layer_from_spec`` and each tensor finite."""
         doc = read_json(path)
         tag = doc.get("format") if isinstance(doc, dict) else None
         if tag != _CHECKPOINT_TAG:
@@ -173,6 +170,8 @@ class Network:
             for name, entry in doc["params"].items():
                 raw = base64.b64decode(entry["data"])
                 values[name] = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
+                if not np.isfinite(values[name]).all():
+                    raise UsageError(f"{name} in {path} must be finite")
         except (KeyError, TypeError, ValueError, AttributeError) as e:
             raise UsageError(f"{path} is a malformed model checkpoint: {e!r}")
         net.set_parameters(values)

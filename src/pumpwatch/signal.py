@@ -31,7 +31,7 @@ from typing import List
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ShapeError
+from .errors import ShapeError, UsageError
 from .util import JsonFields
 
 WINDOW_SIZE = 64
@@ -94,6 +94,15 @@ class Normalizer(JsonFields):
 
     mins: np.ndarray
     maxs: np.ndarray
+
+    @classmethod
+    def load(cls, path):
+        """``JsonFields.load``, and no channel's max may lie below its min."""
+        nz = super().load(path)
+        below = np.flatnonzero(nz.maxs < nz.mins).tolist()
+        if below:
+            raise UsageError(f"maxs in {path} lie below mins in channels {below}")
+        return nz
 
 
 def vib_norm(vib_x, vib_y, vib_z) -> np.ndarray:

@@ -129,6 +129,12 @@ def _truncate(path):
     path.write_text(path.read_text()[:20])
 
 
+def _swap_mins_and_maxs(path):
+    doc = json.loads(path.read_text())
+    doc["mins"], doc["maxs"] = doc["maxs"], doc["mins"]
+    path.write_text(json.dumps(doc))
+
+
 def _set(key, value):
     """Corrupt one key of a JSON artifact; a callable maps its old value."""
     def corrupt(path):
@@ -149,9 +155,10 @@ def _set(key, value):
     ("bm_pca_vib1d/pca.json", _set("mean", lambda v: [None] * len(v))),
     ("bm_pca_vib1d/pca.json", _set("components", lambda v: v[0])),
     ("bm_iqr_vib1d/threshold.json", _set("value", float("nan"))),
+    ("vib1d/normalizer.json", _swap_mins_and_maxs),
 ], ids=["pca-without-k", "truncated-threshold", "normalizer-string", "normalizer-ragged",
         "normalizer-2d", "iqr-string", "iqr-bools", "pca-null-mean", "pca-1d-components",
-        "threshold-nan"])
+        "threshold-nan", "normalizer-swapped"])
 def test_malformed_artifact_exits_2_naming_the_file(dataset_file, tmp_path, capsys,
                                                     artifact, corrupt):
     outdir = tmp_path / "out"

@@ -435,6 +435,17 @@ def test_load_rejects_a_number_its_column_cannot_hold(tmp_path, field, value):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("value", [True, "0.5", 10**400], ids=["true", "string", "10**400"])
+def test_load_rejects_a_channel_value_that_is_not_a_number(tmp_path, value):
+    # A cast would read true as 1.0 and "0.5" as 0.5; 10**400 overflows float64
+    obj = _sample_obj(0)
+    obj["audio"][7] = value
+    path = tmp_path / "bad.jsonl"
+    _write_lines(path, [_HEADER, json.dumps(obj)])
+    with pytest.raises(DatasetFormatError, match="line 2: channel audio must be a list of num"):
+        load_dataset(path)
+
+
 def test_load_rejects_non_increasing_ids(tmp_path):
     path = tmp_path / "bad.jsonl"
     _write_lines(path, [_HEADER, json.dumps(_sample_obj(3)), json.dumps(_sample_obj(3))])

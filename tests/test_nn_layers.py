@@ -6,6 +6,7 @@ forwards) over a single layer, so these checks do not lean on nn.gradcheck,
 which tests/test_gradcheck.py covers on whole networks.
 """
 
+import base64
 import inspect
 import json
 import math
@@ -801,11 +802,13 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_save_is_byte_deterministic(tmp_path):
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    for p in (p1, p2):
-        net = Network([Dense(3, 2), Tanh(), Dense(2, 3)]).initialize(5)
-        net.save(p)
-    assert p1.read_bytes() == p2.read_bytes()
+    for build in (lambda: [Dense(3, 2), Tanh(), Dense(2, 3)],
+                  lambda: [LSTM(2, 3), LSTM(3, 2, return_sequences=False), RepeatLast(4)]):
+        p1, p2, p3 = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+        for p in (p1, p2):
+            Network(build()).initialize(5).save(p)
+        Network.load(p1).save(p3)  # a loaded checkpoint saves back to the same bytes
+        assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
 
 
 def test_checkpoint_rejects_wrong_tag(tmp_path):
@@ -815,16 +818,28 @@ def test_checkpoint_rejects_wrong_tag(tmp_path):
         Network.load(path)
 
 
-@pytest.mark.parametrize("text", [
-    '{"format": "pumpwatch-model-v1", "lay',
-    '{"format": "pumpwatch-model-v1", "layers": []}',
-    '{"format": "pumpwatch-model-v1", "layers": [{"kind": "Tanh", "size": 3}], '
-    '"params": {}}',
-], ids=["truncated", "no-params", "bad-layer-spec"])
-def test_malformed_checkpoint_is_a_usage_error_naming_the_file(tmp_path, text):
+def _dense_checkpoint(first_weight):
+    """The text of a Dense(2, 1) checkpoint whose L0.W[0, 0] is ``first_weight``."""
+    def tensor(values):
+        data = base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+        return {"shape": list(np.shape(values)), "data": data}
+    return json.dumps({"format": "pumpwatch-model-v1", "layers": [Dense(2, 1).spec()],
+                       "params": {"L0.W": tensor([[first_weight], [0.5]]),
+                                  "L0.b": tensor([0.0])}})
+
+
+@pytest.mark.parametrize("text, needle", [
+    ('{"format": "pumpwatch-model-v1", "lay', "model.json"),
+    ('{"format": "pumpwatch-model-v1", "layers": []}', "model.json"),
+    ('{"format": "pumpwatch-model-v1", "layers": [{"kind": "Tanh", "size": 3}], '
+     '"params": {}}', "model.json"),
+    (_dense_checkpoint(float("nan")), "L0.W in .*model.json must be finite"),
+    (_dense_checkpoint(float("inf")), "L0.W in .*model.json must be finite"),
+], ids=["truncated", "no-params", "bad-layer-spec", "nan-weight", "inf-weight"])
+def test_malformed_checkpoint_is_a_usage_error_naming_the_file(tmp_path, text, needle):
     path = tmp_path / "model.json"
     path.write_text(text)
-    with pytest.raises(UsageError, match="model.json"):
+    with pytest.raises(UsageError, match=needle):
         Network.load(path)
 
 
