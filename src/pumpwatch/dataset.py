@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DatasetFormatError, ShapeError, SplitError
 from .rng import SplitMix64, derive_seed
-from .util import check_finite, field_types, round_half_up, typed_value
+from .util import check_types_and_finiteness, field_types, round_half_up, typed_value
 
 OPERATING_FREQS_HZ = (50, 100, 150, 200, 250)
 CHANNEL_LENGTH = 1024
@@ -160,19 +160,19 @@ def _stack(samples):
 
 @dataclass
 class SplitSpec:
-    """Healthy-data split fractions; anomalous samples always go to eval."""
+    """Healthy-data split fractions for train and threshold; eval gets the
+    healthy share they leave and every anomalous sample."""
 
     train_frac: float = 0.6
     threshold_frac: float = 0.2
-    eval_frac: float = 0.2
 
     def validate(self):
-        check_finite(self)
-        fracs = (self.train_frac, self.threshold_frac, self.eval_frac)
-        if any(f <= 0 for f in fracs):
+        check_types_and_finiteness(self)
+        if self.train_frac <= 0 or self.threshold_frac <= 0:
             raise ConfigError("split fractions must be positive")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)}")
+        if self.train_frac + self.threshold_frac >= 1:
+            raise ConfigError(f"train_frac {self.train_frac} + threshold_frac "
+                              f"{self.threshold_frac} must be below 1, so eval keeps a share")
 
 
 @dataclass
@@ -187,7 +187,7 @@ class GeneratorConfig:
     seed: int = 0
 
     def validate(self):
-        check_finite(self)
+        check_types_and_finiteness(self)
         if self.n_samples_per_condition < 1:
             raise ConfigError("n_samples_per_condition must be >= 1")
         if not 0.0 <= self.anomaly_fraction <= 1.0:

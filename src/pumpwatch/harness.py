@@ -55,9 +55,10 @@ from .nn.network import by_chunks
 from .nn.train import TrainConfig
 from .rng import derive_seed
 from .signal import (FEATURE_SET_ORDER, WINDOW_SIZE, FeatureSetId, Normalizer,
-                     apply_normalizer, assemble_features, feature_length,
-                     fit_normalizer, window)
-from .util import check_finite, dataclass_from_dict, read_json, typed_value, write_json
+                     apply_normalizer, assemble_features, channel_count,
+                     feature_length, fit_normalizer, window)
+from .util import (check_types_and_finiteness, dataclass_from_dict, read_json, typed_value,
+                   write_json)
 
 
 @dataclass
@@ -69,7 +70,7 @@ class DetectorSpec:
     train: Optional[TrainConfig] = None
 
     def validate(self):
-        check_finite(self, DETECTORS[self.kind].keys)
+        check_types_and_finiteness(self, DETECTORS[self.kind].keys)
         DETECTORS[self.kind].check(self)
         if self.train is not None:
             self.train.validate()
@@ -87,6 +88,7 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def validate(self):
+        check_types_and_finiteness(self, ["split_seed"])
         if (self.generate is None) == (self.load is None):
             raise ConfigError("exactly one of generate/load must be set")
         if not self.feature_sets:
@@ -129,7 +131,6 @@ class Combination:
 @dataclass
 class ExperimentReport:
     rows: List[Combination]
-    config: dict
 
     @property
     def timelines(self) -> Dict[Tuple[str, str], Dict[str, np.ndarray]]:
@@ -321,14 +322,21 @@ def evaluate_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> Exper
     splits = _prepare(cfg, dataset)
     artifacts = Path(cfg.output_dir) / "artifacts"
 
+    def normalizer(fs, _):
+        path = artifacts / fs.value / "normalizer.json"
+        nz = Normalizer.load(path)
+        if len(nz.mins) != channel_count(fs):
+            raise UsageError(f"{path} holds {len(nz.mins)} channels, feature set "
+                             f"{fs.name} has {channel_count(fs)}")
+        return nz
+
     def combination(det, fs, nz, windows):
         combo_dir = artifacts / f"{det.kind.value}_{fs.value}"
         model = DETECTORS[det.kind].load(combo_dir / DETECTORS[det.kind].artifact)
         th = detect.Threshold.load(combo_dir / "threshold.json")
         return _decide(Combination(det, fs, th), _score(model, fs, windows), splits)
 
-    return _write(cfg, _grid(cfg, splits, lambda fs, _: Normalizer.load(
-        artifacts / fs.value / "normalizer.json"), combination))
+    return _write(cfg, _grid(cfg, splits, normalizer, combination))
 
 
 def _write(cfg: ExperimentConfig, combos: List[Combination]) -> Optional[ExperimentReport]:
@@ -359,7 +367,7 @@ def _write(cfg: ExperimentConfig, combos: List[Combination]) -> Optional[Experim
                outdir / "runtimes.json")
     if any(c.metrics is None for c in combos):
         return None
-    report = ExperimentReport(rows=combos, config=resolved)
+    report = ExperimentReport(rows=combos)
     text, csv_text = render_tables(report)
     (outdir / "report.txt").write_text(text)
     (outdir / "report.csv").write_text(csv_text)
@@ -387,7 +395,7 @@ def load_report(path) -> ExperimentReport:
                 for i, r in enumerate(doc["rows"])]
     except (KeyError, TypeError) as e:
         raise UsageError(f"{path} is a malformed report: {e!r}")
-    return ExperimentReport(rows=rows, config=doc.get("config", {}))
+    return ExperimentReport(rows=rows)
 
 
 def _fmt2(v) -> str:

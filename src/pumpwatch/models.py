@@ -116,9 +116,6 @@ class Autoencoder:
         out *= out
         return out.reshape(len(x), -1).mean(axis=1)
 
-    def param_count(self) -> int:
-        return self.network.param_count()
-
     def save(self, path):
         self.network.save(path)
 

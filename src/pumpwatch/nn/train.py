@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigError, TrainingError, UsageError
 from ..rng import SplitMix64, derive_seed
-from ..util import check_finite
+from ..util import check_types_and_finiteness
 from .network import Network, mse_loss
 from .optim import Adam
 
@@ -32,7 +32,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        check_finite(self)
+        check_types_and_finiteness(self)
         # learning_rate 0 is allowed and means "evaluate but never update".
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")

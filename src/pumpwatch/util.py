@@ -68,9 +68,11 @@ def typed_value(value, tp, what, error=ConfigError):
     raise error(f"{what} must be {_JSON_TYPES[tp]}, got {value!r:.40}")
 
 
-def check_finite(obj, names=None):
-    """A ConfigError naming the first float field of ``obj`` (of ``names``, if
-    given) that is NaN or infinite.
+def check_types_and_finiteness(obj, names=None):
+    """Each int, float, bool or str field of ``obj`` (of ``names``, if given)
+    passed through ``typed_value`` and stored back, so an int in a float
+    field becomes a float; a ConfigError names the first field of the wrong
+    type or the first float field that is NaN or infinite.
 
     Every config dataclass's ``validate`` calls this first, so a config file
     (JSON allows NaN and Infinity), a CLI flag and the Python API all pass
@@ -78,9 +80,12 @@ def check_finite(obj, names=None):
     """
     types = field_types(type(obj))
     for name in [f.name for f in dataclasses.fields(obj)] if names is None else names:
-        value = getattr(obj, name)
+        if types[name] not in (int, float, bool, str):
+            continue
+        value = typed_value(getattr(obj, name), types[name], name)
         if types[name] is float and not math.isfinite(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        setattr(obj, name, value)
 
 
 def dataclass_from_dict(cls, doc, what, skip=(), error=ConfigError, keys=None, **parsed):

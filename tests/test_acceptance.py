@@ -115,7 +115,7 @@ def test_criterion_04_architecture_widths_and_parameter_count():
     widths = dnn_widths(64, 150)
     oracle = sum((w_in + 1) * w_out for w_in, w_out in zip(widths, widths[1:]))
     assert oracle == 38502
-    assert build_dnn(64, n=150).param_count() == oracle
+    assert build_dnn(64, n=150).network.param_count() == oracle
 
 
 def _votes(errors, threshold_value):

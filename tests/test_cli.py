@@ -2,11 +2,13 @@
 
 import argparse
 import json
+import shutil
 
 import pytest
 
-from pumpwatch.cli import _build_parser, main
+from pumpwatch.cli import _build_parser, _experiment_config, main
 from pumpwatch.dataset import load_dataset
+from pumpwatch.harness import resolved_config_dict
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +107,7 @@ def test_missing_dataset_file_exits_2(tmp_path, capsys):
 def test_invalid_split_exits_2(dataset_file, tmp_path, capsys):
     args = _run_args(dataset_file, tmp_path / "out") + ["--train-frac", "0.9"]
     assert main(args) == 2
-    assert "sum to 1" in capsys.readouterr().err
+    assert "train_frac 0.9 + threshold_frac 0.2 must be below 1" in capsys.readouterr().err
 
 
 def test_evaluate_before_train_exits_2(dataset_file, tmp_path, capsys):
@@ -168,6 +170,21 @@ def test_malformed_artifact_exits_2_naming_the_file(dataset_file, tmp_path, caps
     assert main(_run_args(dataset_file, outdir, command="evaluate")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and artifact in err
+
+
+def test_normalizer_of_another_feature_set_exits_2_naming_it(dataset_file, tmp_path,
+                                                             capsys):
+    outdir = tmp_path / "out"
+    args = ["--dataset", str(dataset_file), "--output-dir", str(outdir),
+            "--feature-sets", "vib1d,vib3d", "--detectors", "bm_iqr"]
+    assert main(["train", *args]) == 0
+    artifacts = outdir / "artifacts"
+    shutil.copy(artifacts / "vib3d" / "normalizer.json", artifacts / "vib1d" / "normalizer.json")
+    capsys.readouterr()
+    assert main(["evaluate", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "vib1d/normalizer.json holds 3 channels" in err
+    assert "feature set VIB1D has 1" in err
 
 
 def _bad_file(command, flag, text):
@@ -299,7 +316,6 @@ _EXPERIMENT_FLAGS = [
     (["--split-seed"], "split_seed", int),
     (["--train-frac"], "train_frac", float),
     (["--threshold-frac"], "threshold_frac", float),
-    (["--eval-frac"], "eval_frac", float),
     (["--learning-rate"], "learning_rate", float),
     (["--batch-size"], "batch_size", int),
     (["--max-epochs"], "max_epochs", int),
@@ -329,6 +345,42 @@ _FLAGS = {
         (["--output-dir"], "output_dir", None),
     ],
 }
+
+
+# Each typed experiment flag's non-default value and the key of
+# config_resolved.json that it sets.
+_FLAG_VALUES = {
+    "split_seed": ("3", ("split", "seed")),
+    "train_frac": ("0.7", ("split", "train_frac")),
+    "threshold_frac": ("0.25", ("split", "threshold_frac")),
+    "learning_rate": ("0.01", ("train", "learning_rate")),
+    "batch_size": ("16", ("train", "batch_size")),
+    "max_epochs": ("5", ("train", "max_epochs")),
+    "early_stop_patience": ("3", ("train", "early_stop_patience")),
+    "train_seed": ("4", ("train", "seed")),
+}
+
+
+def _leaves(doc, path=()):
+    if not isinstance(doc, dict):
+        return {path: doc}
+    return {k: v for key, value in doc.items() for k, v in _leaves(value, path + (key,)).items()}
+
+
+@pytest.mark.parametrize("flag", [f for f in _EXPERIMENT_FLAGS if f[2] is not None],
+                         ids=lambda f: f[0][0])
+def test_each_experiment_flag_overrides_its_key_alone(flag):
+    # a lone --train-frac once broke the rule that the split fractions sum to 1
+    assert {dest for _, dest, tp in _EXPERIMENT_FLAGS if tp is not None} == set(_FLAG_VALUES)
+    (option,), dest, _ = flag
+    value, key = _FLAG_VALUES[dest]
+    base = ["run", "--dataset", "d.jsonl", "--detectors", "bm_iqr"]
+    default = _experiment_config(_build_parser().parse_args(base))
+    given = _experiment_config(_build_parser().parse_args([*base, option, value]))
+    given.validate()
+    before, after = _leaves(resolved_config_dict(default)), _leaves(resolved_config_dict(given))
+    assert [k for k in before if before[k] != after[k]] == [key]
+    assert after[key] == json.loads(value)
 
 
 def test_flags_are_unchanged():

@@ -508,7 +508,7 @@ def _gen(n_per_cond, frac, seed=0):
 def test_split_contract_counts():
     # 100 healthy + 100 anomalous at (0.6, 0.2, 0.2)
     ds = _gen(40, 0.5, seed=11)
-    train, thr, ev = split(ds, SplitSpec(0.6, 0.2, 0.2), seed=1)
+    train, thr, ev = split(ds, SplitSpec(0.6, 0.2), seed=1)
     assert (len(train), len(thr), len(ev)) == (60, 20, 120)
     assert not any(s.is_anomaly for s in train)
     assert not any(s.is_anomaly for s in thr)
@@ -518,7 +518,7 @@ def test_split_contract_counts():
 def test_split_stratified_per_condition():
     # 50 healthy per condition -> exactly 30/10/10 in every condition
     ds = _gen(50, 0.0, seed=2)
-    train, thr, ev = split(ds, SplitSpec(0.6, 0.2, 0.2), seed=3)
+    train, thr, ev = split(ds, SplitSpec(0.6, 0.2), seed=3)
     for freq in OPERATING_FREQS_HZ:
         counts = tuple(sum(s.operating_freq_hz == freq for s in part)
                        for part in (train, thr, ev))
@@ -584,10 +584,10 @@ def test_split_too_few_healthy():
 
 
 def test_split_spec_validation():
-    with pytest.raises(ConfigError):
-        split(_gen(2, 0.0), SplitSpec(0.5, 0.2, 0.2), seed=0)
-    with pytest.raises(ConfigError):
-        split(_gen(2, 0.0), SplitSpec(0.8, 0.2, 0.0), seed=0)
+    with pytest.raises(ConfigError, match="positive"):
+        split(_gen(2, 0.0), SplitSpec(0.0, 0.2), seed=0)
+    with pytest.raises(ConfigError, match="eval keeps a share"):
+        split(_gen(2, 0.0), SplitSpec(0.8, 0.2), seed=0)
 
 
 def test_split_puts_every_row_in_one_part_when_ids_repeat():
@@ -637,7 +637,7 @@ def _reference_split_cases():
         dataclasses.replace(s, sample_id=1000 - 3 * s.sample_id) for s in _gen(9, 0.5, 7)])
 
 
-@pytest.mark.parametrize("spec", [SplitSpec(), SplitSpec(0.5, 0.25, 0.25)],
+@pytest.mark.parametrize("spec", [SplitSpec(), SplitSpec(0.5, 0.25)],
                          ids=["default", "half"])
 def test_split_equals_id_set_reference(spec):
     for name, ds in _reference_split_cases():

@@ -54,8 +54,7 @@ def experiment(tmp_path_factory, small_dataset):
 def test_config_from_dict_full():
     cfg = config_from_dict({
         "dataset": {"generate": {"n_samples_per_condition": 5, "seed": 3}},
-        "split": {"train_frac": 0.5, "threshold_frac": 0.25,
-                  "eval_frac": 0.25, "seed": 9},
+        "split": {"train_frac": 0.5, "threshold_frac": 0.25, "seed": 9},
         "feature_sets": "vib1d, fft_audio",
         "detectors": [{"kind": "dnn", "n": 80, "train": {"max_epochs": 3}},
                       "bm_iqr"],
@@ -64,7 +63,7 @@ def test_config_from_dict_full():
     })
     cfg.validate()
     assert cfg.generate.n_samples_per_condition == 5
-    assert cfg.split == SplitSpec(0.5, 0.25, 0.25)
+    assert cfg.split == SplitSpec(0.5, 0.25)
     assert cfg.split_seed == 9
     assert cfg.feature_sets == [FeatureSetId.VIB1D, FeatureSetId.FFT_AUDIO]
     assert cfg.detectors[0].kind is DetectorKind.DNN
@@ -79,6 +78,10 @@ def test_config_from_dict_full():
 def test_config_rejects_unknown_keys_and_non_objects():
     with pytest.raises(ConfigError, match="bogus"):
         config_from_dict({"bogus": 1})
+    # eval gets what train and threshold leave; no key sets it
+    with pytest.raises(ConfigError, match=r"unknown keys \['eval_frac'\] in split"):
+        config_from_dict({"split": {"train_frac": 0.6, "threshold_frac": 0.2,
+                                    "eval_frac": 0.2}})
     with pytest.raises(ConfigError):
         config_from_dict(["not", "a", "dict"])
 
@@ -142,6 +145,57 @@ def test_non_finite_config_numbers_are_config_errors(tmp_path, slot, value, name
     with pytest.raises(ConfigError, match=name):
         run_experiment(cfg)
     assert not outdir.exists()  # refused before any dataset or model
+
+
+def _python_configs():
+    yield "defaults", ExperimentConfig(generate=GeneratorConfig(),
+                                       detectors=[DetectorSpec(kind=DetectorKind.DNN)])
+    yield "ints-for-floats", ExperimentConfig(
+        generate=GeneratorConfig(anomaly_fraction=1, base_amplitude=2, noise_std=0,
+                                 anomaly_harmonic_gain=3, anomaly_noise_gain=1),
+        split=SplitSpec(train_frac=0.5, threshold_frac=0.25), split_seed=9,
+        feature_sets=[FeatureSetId.AUDIO, FeatureSetId.FFT_VIB3D],
+        detectors=[DetectorSpec(kind=DetectorKind.DNN, n=80,
+                                train=TrainConfig(learning_rate=0, max_epochs=3)),
+                   DetectorSpec(kind=DetectorKind.BM_PCA, variance_target=1),
+                   DetectorSpec(kind=DetectorKind.CNN, cnn_bottleneck=8),
+                   DetectorSpec(kind=DetectorKind.BM_IQR)],
+        train=TrainConfig(learning_rate=1), output_dir="results")
+    yield "load", ExperimentConfig(load="pumps.jsonl",
+                                   detectors=[DetectorSpec(kind=DetectorKind.LSTM, n=16)])
+
+
+@pytest.mark.parametrize("cfg", [pytest.param(cfg, id=name) for name, cfg in _python_configs()])
+def test_python_config_round_trips_through_its_echo(cfg):
+    # validate stores an int given for a float as a float, so the echo
+    # reads 2.0 where the config said 2, as its own reload does
+    cfg.validate()
+    text = json.dumps(resolved_config_dict(cfg), sort_keys=True)
+    again = config_from_dict(json.loads(text))
+    again.validate()
+    assert json.dumps(resolved_config_dict(again), sort_keys=True) == text
+
+
+@pytest.mark.parametrize("slot, value, needle", [
+    ("detectors", DetectorSpec(kind=DetectorKind.DNN, n=64.7),
+     "n must be an integer, got 64.7"),
+    ("train", TrainConfig(max_epochs=True), "max_epochs must be an integer, got True"),
+    ("train", TrainConfig(batch_size=2.5), "batch_size must be an integer, got 2.5"),
+    ("split", SplitSpec(threshold_frac="0.2"), "threshold_frac must be a number"),
+    ("split_seed", 1.5, "split_seed must be an integer, got 1.5"),
+], ids=["dnn-float-n", "bool-max-epochs", "float-batch-size", "string-fraction",
+        "float-split-seed"])
+def test_wrong_typed_python_config_is_a_config_error(tmp_path, slot, value, needle):
+    # the JSON and CLI paths checked types; a config built in Python ran,
+    # echoed a value --config refuses, or died with a TypeError
+    outdir = tmp_path / "out"
+    cfg = dataclasses.replace(_one_detector_config(outdir, GeneratorConfig()),
+                              **{slot: [value] if slot == "detectors" else value})
+    with pytest.raises(ConfigError, match=needle):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=needle):
+        run_experiment(cfg)
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("detector, needle", [
@@ -606,7 +660,7 @@ def _one_row_report(metrics):
     row = Combination(detector=DetectorSpec(kind=DetectorKind.DNN),
                       feature_set=FeatureSetId.VIB1D, metrics=metrics,
                       threshold=detect.Threshold(1.0, 0.5, 0.25, 10))
-    return ExperimentReport(rows=[row], config={})
+    return ExperimentReport(rows=[row])
 
 
 def test_fmt2_rounds_half_up():
@@ -645,7 +699,7 @@ def test_render_orders_rows_canonically():
                         feature_set=fs, metrics=metrics,
                         threshold=detect.Threshold(1.0, 0.5, 0.25, 10))
             for fs in (FeatureSetId.FFT_VIB1D, FeatureSetId.VIB1D)]
-    text, _ = render_tables(ExperimentReport(rows=rows, config={}))
+    text, _ = render_tables(ExperimentReport(rows=rows))
     lines = text.splitlines()
     first = next(i for i, l in enumerate(lines) if l.startswith("Vibrations 1D"))
     second = next(i for i, l in enumerate(lines) if l.startswith("FFT Vibrations 1D"))
@@ -662,7 +716,7 @@ def test_render_groups_by_detector(experiment):
 
 def test_render_empty_report_is_an_error():
     with pytest.raises(UsageError):
-        render_tables(ExperimentReport(rows=[], config={}))
+        render_tables(ExperimentReport(rows=[]))
 
 
 def test_load_report_round_trips_rendering(experiment):

@@ -47,7 +47,7 @@ def test_dnn_parameter_count_matches_width_arithmetic():
     widths = dnn_widths(64, 150)
     want = sum((widths[i] + 1) * widths[i + 1] for i in range(len(widths) - 1))
     ae = build_dnn(64, 150, seed=0)
-    assert ae.param_count() == want
+    assert ae.network.param_count() == want
     # and per layer: weights + bias
     dense = [l for l in ae.network.layers if isinstance(l, Dense)]
     assert [(l.in_dim, l.units) for l in dense] == \
