@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 from .dataset import GeneratorConfig, SplitSpec, generate_synthetic, save_dataset
-from .errors import ConfigError, PumpwatchError
+from .errors import ConfigError, EvalSplitWarning, PumpwatchError
 from .harness import (ExperimentConfig, config_from_dict, evaluate_experiment,
                       load_report, parse_detector, parse_feature_sets,
                       render_tables, run_experiment, train_experiment)
@@ -111,28 +112,34 @@ def _experiment_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _command(args):
+    """Run one subcommand; its errors reach ``main``."""
+    if args.command == "generate":
+        ds = generate_synthetic(_generator_config(args))
+        save_dataset(ds, args.out)
+        print(f"wrote {len(ds)} samples to {args.out}")
+    elif args.command == "run":
+        print(render_tables(run_experiment(_experiment_config(args)))[0])
+    elif args.command == "train":
+        cfg = _experiment_config(args)
+        train_experiment(cfg)
+        print(f"artifacts written to {Path(cfg.output_dir) / 'artifacts'}")
+    elif args.command == "evaluate":
+        print(render_tables(evaluate_experiment(_experiment_config(args)))[0])
+    elif args.command == "report":
+        if not args.report and not args.output_dir:
+            raise ConfigError("report needs --report or --output-dir")
+        path = args.report or str(Path(args.output_dir) / "report.json")
+        print(render_tables(load_report(path))[0])
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            ds = generate_synthetic(_generator_config(args))
-            save_dataset(ds, args.out)
-            print(f"wrote {len(ds)} samples to {args.out}")
-        elif args.command == "run":
-            report = run_experiment(_experiment_config(args))
-            print(render_tables(report)[0])
-        elif args.command == "train":
-            cfg = _experiment_config(args)
-            train_experiment(cfg)
-            print(f"artifacts written to {Path(cfg.output_dir) / 'artifacts'}")
-        elif args.command == "evaluate":
-            report = evaluate_experiment(_experiment_config(args))
-            print(render_tables(report)[0])
-        elif args.command == "report":
-            if not args.report and not args.output_dir:
-                raise ConfigError("report needs --report or --output-dir")
-            path = args.report or str(Path(args.output_dir) / "report.json")
-            print(render_tables(load_report(path))[0])
+        with warnings.catch_warnings():
+            # A report whose eval split has no healthy sample is refused here.
+            warnings.simplefilter("error", EvalSplitWarning)
+            _command(args)
     except (PumpwatchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -20,7 +20,6 @@ in another order and differs in the last bit on many rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +65,12 @@ def make_score(errs) -> np.ndarray:
 
 def calibrate_threshold(errors) -> Threshold:
     """mean + population standard deviation (divisor N) of every healthy error."""
-    errors = [float(e) for e in np.ravel(errors)]
+    errors = np.ravel(errors).astype(np.float64)
     if len(errors) < 2:
         raise CalibrationError(f"need at least 2 calibration errors, got {len(errors)}")
-    if any(not math.isfinite(e) or e < 0 for e in errors):
+    if not (np.isfinite(errors) & (errors >= 0)).all():
         raise CalibrationError("calibration errors must be finite and non-negative")
-    mean = float(np.mean(errors))
-    std = float(np.sqrt(np.mean([(e - mean) ** 2 for e in errors])))
+    mean, std = float(errors.mean()), float(errors.std())
     return Threshold(value=mean + std, mean=mean, std=std,
                      calibration_count=len(errors))
 

@@ -30,6 +30,12 @@ class SplitError(PumpwatchError):
     """Dataset cannot be split as requested (e.g. too few healthy samples)."""
 
 
+class EvalSplitWarning(PumpwatchError, UserWarning):
+    """The eval split has rows but no healthy one, so no false positive can
+    lower its precision.  A library call warns and goes on; the ``run`` and
+    ``evaluate`` commands raise it as an error."""
+
+
 class CalibrationError(PumpwatchError):
     """Threshold calibration received unusable input."""
 

@@ -3,7 +3,9 @@
 An experiment runs a grid of (detector, feature set) combinations over one
 dataset split, in stages that return values:
 
-- prepare: the dataset's train, threshold and eval splits;
+- prepare: the dataset's train, threshold and eval splits; an eval split
+  with rows but no healthy one gives an ``EvalSplitWarning`` before
+  anything is fitted, which the CLI raises as an error;
 - features: per feature set, each split's normalized windows, shared by all
   detectors; the normalizer is fitted on the healthy train split or loaded.
   One split's features are built at a time and dropped once windowed;
@@ -20,11 +22,12 @@ dataset split, in stages that return values:
 
 ``run_experiment`` fits (scoring every split) and decides, ``train_experiment``
 fits (scoring the threshold split only), and ``evaluate_experiment`` loads and decides.
-Each combination yields one ``Combination`` record, its report row, and the
-write stage reads nothing else: ``model`` and ``normalizer`` if the call
-fitted them, ``metrics`` and ``timeline`` if it decided, and
-``seconds`` from fit or load to decide.  A model is loaded by the kind the
-config names.  Every file but runtimes.json is byte-deterministic.
+Each combination yields one ``Combination`` record, its report row; the
+write stage reads nothing else, and each call returns the records it wrote:
+``model`` and ``normalizer`` if the call fitted them, ``metrics`` and
+``timeline`` if it decided, and ``seconds`` from fit or load to decide.  A
+model is loaded by the kind the config names.  Every file but runtimes.json
+is byte-deterministic.
 
 Output files, and the records they are written from:
     config_resolved.json, runtimes.json     every call; each record's seconds
@@ -39,17 +42,18 @@ from __future__ import annotations
 
 import dataclasses
 import time
+import warnings
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import detect
 from .dataset import (Dataset, GeneratorConfig, SplitSpec, generate_synthetic,
                       load_dataset, split)
-from .errors import ConfigError, PumpwatchError, UsageError
+from .errors import ConfigError, EvalSplitWarning, PumpwatchError, UsageError
 from .models import DETECTORS, DetectorKind
 from .nn.network import by_chunks
 from .nn.train import TrainConfig
@@ -70,6 +74,7 @@ class DetectorSpec:
     train: Optional[TrainConfig] = None
 
     def validate(self):
+        check_types_and_finiteness(self, ["kind", "train"])
         check_types_and_finiteness(self, DETECTORS[self.kind].keys)
         DETECTORS[self.kind].check(self)
         if self.train is not None:
@@ -88,13 +93,15 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def validate(self):
-        check_types_and_finiteness(self, ["split_seed"])
+        check_types_and_finiteness(self)
         if (self.generate is None) == (self.load is None):
             raise ConfigError("exactly one of generate/load must be set")
         if not self.feature_sets:
             raise ConfigError("at least one feature set is required")
         if not self.detectors:
             raise ConfigError("at least one detector is required")
+        for det in self.detectors:
+            det.validate()
         # A repeated kind or feature set would share, and overwrite, one
         # artifact directory and one timeline.
         for what, names in (("detector kind", [d.kind.name for d in self.detectors]),
@@ -107,8 +114,6 @@ class ExperimentConfig:
             self.generate.validate()
         self.split.validate()
         self.train.validate()
-        for det in self.detectors:
-            det.validate()
 
 
 # A timeline's columns, one array each; the CSV adds the threshold after score.
@@ -126,16 +131,6 @@ class Combination:
     normalizer: Optional[Normalizer] = None
     timeline: Optional[Dict[str, np.ndarray]] = None
     seconds: float = 0.0
-
-
-@dataclass
-class ExperimentReport:
-    rows: List[Combination]
-
-    @property
-    def timelines(self) -> Dict[Tuple[str, str], Dict[str, np.ndarray]]:
-        """Each row's timeline columns by (detector kind name, feature set name)."""
-        return {(r.detector.kind.name, r.feature_set.name): r.timeline for r in self.rows}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -211,18 +206,31 @@ def resolved_config_dict(cfg: ExperimentConfig) -> dict:
                                                for k in DETECTORS[d.kind].keys}}
                       for d in cfg.detectors],
         "train": dataclasses.asdict(cfg.train),
-        "output_dir": str(cfg.output_dir),
+        "output_dir": cfg.output_dir,
     }
 
 
-def _prepare(cfg: ExperimentConfig, dataset: Optional[Dataset]):
-    """Prepare stage: the train, threshold and eval splits of the dataset."""
+def _prepare(cfg: ExperimentConfig, dataset: Optional[Dataset], decide=True):
+    """Prepare stage: the train and threshold splits of the dataset, and its
+    eval split if the call decides; an eval split with rows but no healthy
+    one gives an ``EvalSplitWarning``."""
     cfg.validate()
     if dataset is None:
         dataset = (load_dataset(cfg.load) if cfg.load is not None
                    else generate_synthetic(cfg.generate))
-    parts = split(dataset, cfg.split, cfg.split_seed)
-    return dict(zip(("train", "threshold", "eval"), parts))
+    splits = dict(zip(("train", "threshold", "eval"),
+                      split(dataset, cfg.split, cfg.split_seed)))
+    if not decide:
+        del splits["eval"]  # no eval features are built
+    elif len(splits["eval"]) and splits["eval"].is_anomaly.all():
+        healthy = ", ".join(f"{name} {int((~part.is_anomaly).sum())}"
+                            for name, part in splits.items())
+        warnings.warn(EvalSplitWarning(
+            f"the eval split holds no healthy sample, so no false positive can lower "
+            f"its precision (healthy samples: {healthy}); lower train_frac or "
+            f"threshold_frac"),
+            stacklevel=3)
+    return splits
 
 
 def _features(fs: FeatureSetId, splits, normalizer):
@@ -302,23 +310,24 @@ def _grid(cfg: ExperimentConfig, splits, normalizer, combination) -> List[Combin
     return combos
 
 
-def run_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> ExperimentReport:
-    """Fit, evaluate and report the whole grid."""
+def run_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> List[Combination]:
+    """Fit, evaluate and report the whole grid; the decided rows."""
     splits = _prepare(cfg, dataset)
-    return _write(cfg, _grid(cfg, splits, lambda fs, train: fit_normalizer(train),
+    return _write(cfg, _grid(cfg, splits, lambda fs, train: fit_normalizer(train, fs.name),
                              lambda *args: _decide(*_fit(cfg, splits, *args), splits)))
 
 
-def train_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> None:
-    """Fit all combinations and write artifacts; no evaluation or report."""
-    splits = _prepare(cfg, dataset)
-    del splits["eval"]  # no eval features are built
-    _write(cfg, _grid(cfg, splits, lambda fs, train: fit_normalizer(train),
-                      lambda *args: _fit(cfg, ["threshold"], *args)[0]))
+def train_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> List[Combination]:
+    """Fit all combinations and write artifacts; the fitted rows, with no
+    metrics or timeline."""
+    splits = _prepare(cfg, dataset, decide=False)
+    return _write(cfg, _grid(cfg, splits, lambda fs, train: fit_normalizer(train, fs.name),
+                             lambda *args: _fit(cfg, ["threshold"], *args)[0]))
 
 
-def evaluate_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> ExperimentReport:
-    """Score and report using artifacts a previous train/run left behind."""
+def evaluate_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> List[Combination]:
+    """Score and report using artifacts a previous train/run left behind; the
+    decided rows."""
     splits = _prepare(cfg, dataset)
     artifacts = Path(cfg.output_dir) / "artifacts"
 
@@ -328,6 +337,9 @@ def evaluate_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> Exper
         if len(nz.mins) != channel_count(fs):
             raise UsageError(f"{path} holds {len(nz.mins)} channels, feature set "
                              f"{fs.name} has {channel_count(fs)}")
+        if nz.feature_set != fs.name:
+            raise UsageError(f"{path} was fitted on feature set {nz.feature_set!r}, "
+                             f"not {fs.name}")
         return nz
 
     def combination(det, fs, nz, windows):
@@ -339,8 +351,9 @@ def evaluate_experiment(cfg: ExperimentConfig, dataset: Dataset = None) -> Exper
     return _write(cfg, _grid(cfg, splits, normalizer, combination))
 
 
-def _write(cfg: ExperimentConfig, combos: List[Combination]) -> Optional[ExperimentReport]:
-    """Write stage: every file of the output directory, from the records alone."""
+def _write(cfg: ExperimentConfig, combos: List[Combination]) -> List[Combination]:
+    """Write stage: every file of the output directory, from the records
+    alone; the records."""
     outdir = Path(cfg.output_dir)
     artifacts = outdir / "artifacts"
     outdir.mkdir(parents=True, exist_ok=True)
@@ -349,7 +362,7 @@ def _write(cfg: ExperimentConfig, combos: List[Combination]) -> Optional[Experim
     fitted = {c.feature_set: c.normalizer for c in combos if c.normalizer is not None}
     for fs, nz in fitted.items():
         (artifacts / fs.value).mkdir(parents=True, exist_ok=True)
-        nz.save(artifacts / fs.value / "normalizer.json", feature_set=fs.name)
+        nz.save(artifacts / fs.value / "normalizer.json")
     for c in combos:
         tag = f"{c.detector.kind.value}_{c.feature_set.value}"
         if c.model is not None:
@@ -365,26 +378,24 @@ def _write(cfg: ExperimentConfig, combos: List[Combination]) -> Optional[Experim
                    for i, t, score, flagged, truth, part in rows]))
     write_json({f"{c.detector.kind.name}/{c.feature_set.name}": c.seconds for c in combos},
                outdir / "runtimes.json")
-    if any(c.metrics is None for c in combos):
-        return None
-    report = ExperimentReport(rows=combos)
-    text, csv_text = render_tables(report)
-    (outdir / "report.txt").write_text(text)
-    (outdir / "report.csv").write_text(csv_text)
-    write_json({"config": resolved,
-                "rows": [{"detector": c.detector.kind.name,
-                          "feature_set": c.feature_set.name,
-                          "metrics": dataclasses.asdict(c.metrics),
-                          "threshold": dataclasses.asdict(c.threshold)}
-                         for c in combos]}, outdir / "report.json")
-    return report
+    if all(c.metrics is not None for c in combos):
+        text, csv_text = render_tables(combos)
+        (outdir / "report.txt").write_text(text)
+        (outdir / "report.csv").write_text(csv_text)
+        write_json({"config": resolved,
+                    "rows": [{"detector": c.detector.kind.name,
+                              "feature_set": c.feature_set.name,
+                              "metrics": dataclasses.asdict(c.metrics),
+                              "threshold": dataclasses.asdict(c.threshold)}
+                             for c in combos]}, outdir / "report.json")
+    return combos
 
 
-def load_report(path) -> ExperimentReport:
-    """Rebuild a renderable report from a saved report.json."""
+def load_report(path) -> List[Combination]:
+    """The rows of a saved report.json, renderable by ``render_tables``."""
     doc = read_json(path)
     try:
-        rows = [Combination(DetectorSpec(DetectorKind[r["detector"]]),
+        return [Combination(DetectorSpec(DetectorKind[r["detector"]]),
                             FeatureSetId[r["feature_set"]],
                             dataclass_from_dict(detect.Threshold, r["threshold"],
                                                 f"threshold of row {i} in {path}",
@@ -395,7 +406,6 @@ def load_report(path) -> ExperimentReport:
                 for i, r in enumerate(doc["rows"])]
     except (KeyError, TypeError) as e:
         raise UsageError(f"{path} is a malformed report: {e!r}")
-    return ExperimentReport(rows=rows)
 
 
 def _fmt2(v) -> str:
@@ -405,20 +415,20 @@ def _fmt2(v) -> str:
     return str(Decimal(repr(float(v))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def render_tables(report: ExperimentReport):
+def render_tables(rows: List[Combination]):
     """Aligned text tables plus CSV, one block per detector.
 
     Rows follow the canonical feature-set order; metric columns are Acc.,
     F1, P, R rounded to two decimals half-up, as in the tables mirrored.
     """
-    if not report.rows:
+    if not rows:
         raise UsageError("cannot render an empty report")
-    ordered = sorted(report.rows, key=lambda r: FEATURE_SET_ORDER.index(r.feature_set))
+    ordered = sorted(rows, key=lambda r: FEATURE_SET_ORDER.index(r.feature_set))
     width = max(len(fs.label) for fs in FEATURE_SET_ORDER) + 2
     text_lines = ["Results of anomaly prediction per feature set and model",
                   "(eval split; accuracy, F1, precision, recall)", ""]
     csv_lines = ["detector,feature_set,accuracy,f1,precision,recall"]
-    for kind in dict.fromkeys(r.detector.kind for r in report.rows):
+    for kind in dict.fromkeys(r.detector.kind for r in rows):
         text_lines.append(f"== {kind.label} ==")
         text_lines.append(f"{'Feature set':<{width}}{'Acc.':>6}{'F1':>6}{'P':>6}{'R':>6}")
         for r in [row for row in ordered if row.detector.kind is kind]:

@@ -90,10 +90,13 @@ def feature_length(fs: FeatureSetId) -> int:
 
 @dataclass
 class Normalizer(JsonFields):
-    """Per-channel (min, max) fitted on the train set."""
+    """Per-channel (min, max) fitted on the train set, and the
+    ``FeatureSetId`` name of the feature set it was fitted for (empty if
+    none was given)."""
 
     mins: np.ndarray
     maxs: np.ndarray
+    feature_set: str = ""
 
     @classmethod
     def load(cls, path):
@@ -161,12 +164,14 @@ def _check_features(arr, what) -> np.ndarray:
     return arr
 
 
-def fit_normalizer(train) -> Normalizer:
-    """Per-channel min/max pooled over all train samples and positions."""
+def fit_normalizer(train, feature_set: str = "") -> Normalizer:
+    """Per-channel min/max pooled over all train samples and positions;
+    ``feature_set`` names the feature set they belong to."""
     train = _check_features(train, "fit_normalizer")
     if len(train) == 0:
         raise ShapeError("fit_normalizer needs at least one sample")
-    return Normalizer(mins=train.min(axis=(0, 2)), maxs=train.max(axis=(0, 2)))
+    return Normalizer(mins=train.min(axis=(0, 2)), maxs=train.max(axis=(0, 2)),
+                      feature_set=feature_set)
 
 
 def apply_normalizer(nz: Normalizer, features) -> np.ndarray:

@@ -68,11 +68,32 @@ def typed_value(value, tp, what, error=ConfigError):
     raise error(f"{what} must be {_JSON_TYPES[tp]}, got {value!r:.40}")
 
 
+def _is_declared(value, tp) -> bool:
+    """Whether ``value`` is of ``tp``: a class, an Optional or a List of one."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is typing.Union:
+        return any(_is_declared(value, arg) for arg in args)
+    if typing.get_origin(tp) is list:
+        return isinstance(value, list) and all(isinstance(v, args[0]) for v in value)
+    return isinstance(value, tp)
+
+
+def _type_name(tp) -> str:
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is typing.Union:
+        return " or ".join(map(_type_name, args))
+    if typing.get_origin(tp) is list:
+        return f"a list of {args[0].__name__}"
+    return "None" if tp is type(None) else _JSON_TYPES.get(tp, f"a {tp.__name__}")
+
+
 def check_types_and_finiteness(obj, names=None):
-    """Each int, float, bool or str field of ``obj`` (of ``names``, if given)
-    passed through ``typed_value`` and stored back, so an int in a float
-    field becomes a float; a ConfigError names the first field of the wrong
-    type or the first float field that is NaN or infinite.
+    """Each field of ``obj`` (of ``names``, if given) checked against its
+    declared type: an int, float, bool or str field is passed through
+    ``typed_value`` and stored back, so an int in a float field becomes a
+    float, and any other field must be of its class, its Optional or its
+    List.  A ConfigError names the first field of the wrong type or the
+    first float field that is NaN or infinite.
 
     Every config dataclass's ``validate`` calls this first, so a config file
     (JSON allows NaN and Infinity), a CLI flag and the Python API all pass
@@ -81,6 +102,9 @@ def check_types_and_finiteness(obj, names=None):
     types = field_types(type(obj))
     for name in [f.name for f in dataclasses.fields(obj)] if names is None else names:
         if types[name] not in (int, float, bool, str):
+            if not _is_declared(getattr(obj, name), types[name]):
+                raise ConfigError(f"{name} must be {_type_name(types[name])}, "
+                                  f"got {getattr(obj, name)!r:.40}")
             continue
         value = typed_value(getattr(obj, name), types[name], name)
         if types[name] is float and not math.isfinite(value):
@@ -123,16 +147,16 @@ class JsonFields:
     checks every field's type (``typed_value``) and that it is finite.  An
     array is a vector of length ``n`` unless ``SHAPES`` names its
     dimensions; each name is one length in every field.  Keys that are not
-    fields, such as the ``extra`` keys ``save`` writes beside them, are
-    ignored.
+    fields are ignored.
     """
     SHAPES = {}
 
-    def save(self, path, **extra):
+    def save(self, path):
+        doc = {}
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            extra[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
-        write_json(extra, path)
+            doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        write_json(doc, path)
 
     @classmethod
     def load(cls, path):

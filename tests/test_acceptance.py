@@ -190,9 +190,9 @@ def test_criterion_07_vibration_magnitude_is_rotation_invariant(tmp_path):
                        DetectorSpec(kind=DetectorKind.BM_IQR)],
             train=TrainConfig(max_epochs=10),
             output_dir=str(outdir))
-        report = run_experiment(cfg, dataset)
-        return {key: dict(zip(timeline["sample_id"].tolist(), timeline["flagged"].tolist()))
-                for key, timeline in report.timelines.items()}
+        return {(r.detector.kind, r.feature_set): dict(zip(r.timeline["sample_id"].tolist(),
+                                                           r.timeline["flagged"].tolist()))
+                for r in run_experiment(cfg, dataset)}
 
     base = flags(ds, tmp_path / "base")
     mixed = flags(rotated, tmp_path / "rotated")
@@ -216,8 +216,7 @@ def test_criterion_08_end_to_end_detection_on_separable_fixture(tmp_path):
             DetectorSpec(kind=DetectorKind.BM_IQR),
         ],
         output_dir=str(tmp_path / "e2e"))
-    report = run_experiment(cfg)
-    f1 = {(r.detector.kind, r.feature_set): r.metrics.f1 for r in report.rows}
+    f1 = {(r.detector.kind, r.feature_set): r.metrics.f1 for r in run_experiment(cfg)}
 
     assert f1[(DetectorKind.DNN, FeatureSetId.VIB3D)] >= 0.8
     assert f1[(DetectorKind.CNN, FeatureSetId.VIB3D)] >= 0.8

@@ -187,6 +187,41 @@ def test_normalizer_of_another_feature_set_exits_2_naming_it(dataset_file, tmp_p
     assert "feature set VIB1D has 1" in err
 
 
+def test_normalizer_of_a_same_width_feature_set_exits_2_naming_it(dataset_file, tmp_path,
+                                                                  capsys):
+    # fft_vib1d has vib1d's one channel, so only the recorded name tells them apart
+    outdir = tmp_path / "out"
+    args = ["--dataset", str(dataset_file), "--output-dir", str(outdir),
+            "--feature-sets", "vib1d,fft_vib1d", "--detectors", "bm_iqr"]
+    assert main(["train", *args]) == 0
+    artifacts = outdir / "artifacts"
+    shutil.copy(artifacts / "fft_vib1d" / "normalizer.json",
+                artifacts / "vib1d" / "normalizer.json")
+    capsys.readouterr()
+    assert main(["evaluate", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "vib1d/normalizer.json was fitted on feature set " \
+        "'FFT_VIB1D', not VIB1D" in err
+    assert not (outdir / "report.json").exists()
+
+
+def test_eval_split_without_a_healthy_sample_exits_2(dataset_file, tmp_path, capsys):
+    # 0.7 and 0.25 of each condition's 4 healthy rows round to 3 and 1, so
+    # eval holds only anomalies and no false positive could lower precision
+    outdir = tmp_path / "out"
+    split = ["--train-frac", "0.7", "--threshold-frac", "0.25"]
+    assert main([*_run_args(dataset_file, outdir), *split]) == 2
+    assert not outdir.exists()
+    assert main([*_run_args(dataset_file, outdir, command="train"), *split]) == 0
+    before = {p: p.read_bytes() for p in outdir.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main([*_run_args(dataset_file, outdir, command="evaluate"), *split]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "eval split holds no healthy sample" in err
+    assert "train 15, threshold 5, eval 0" in err
+    assert {p: p.read_bytes() for p in outdir.rglob("*") if p.is_file()} == before
+
+
 def _bad_file(command, flag, text):
     def build(tmp_path):
         path = tmp_path / "input.json"

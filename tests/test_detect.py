@@ -65,6 +65,19 @@ def test_calibrate_uses_population_std():
     assert abs(th.std - math.sqrt(var)) < 1e-12
 
 
+def test_calibrate_matches_the_per_element_reference_bit_for_bit():
+    # a per-element reference: each error a Python float, squared one at a time
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 17, 1000, 57600):
+        errors = rng.gamma(1.5, 0.3, size=n)
+        for given in (errors, errors.reshape(-1, 16) if n % 16 == 0 else errors[:, None],
+                      errors.astype(np.float32)):
+            ref = [float(e) for e in np.ravel(given)]
+            mean = float(np.mean(ref))
+            std = float(np.sqrt(np.mean([(e - mean) ** 2 for e in ref])))
+            assert calibrate_threshold(given) == Threshold(mean + std, mean, std, n)
+
+
 # ---------------------------------------------------------------- voting
 
 def _errors_with(above, below, threshold=1.0):

@@ -5,6 +5,7 @@ import json
 import math
 import shutil
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,9 @@ from pumpwatch.dataset import (Dataset, GeneratorConfig, SplitSpec,
                                generate_synthetic)
 from pumpwatch.dataset import split as split_dataset
 from pumpwatch.errors import (CalibrationError, ConfigError, DatasetFormatError,
-                              ShapeError, TrainingError, UsageError)
+                              EvalSplitWarning, ShapeError, TrainingError, UsageError)
 from pumpwatch.harness import (Combination, DetectorKind, DetectorSpec,
-                               ExperimentConfig, ExperimentReport, config_from_dict,
+                               ExperimentConfig, config_from_dict,
                                evaluate_experiment, load_report, parse_detector,
                                parse_feature_sets, render_tables,
                                resolved_config_dict, run_experiment,
@@ -45,8 +46,8 @@ def _experiment_config(outdir):
 def experiment(tmp_path_factory, small_dataset):
     outdir = tmp_path_factory.mktemp("exp")
     cfg = _experiment_config(outdir)
-    report = run_experiment(cfg, small_dataset)
-    return cfg, report, Path(outdir)
+    rows = run_experiment(cfg, small_dataset)
+    return cfg, rows, Path(outdir)
 
 
 # -------------------------------------------------------- config schema
@@ -183,8 +184,20 @@ def test_python_config_round_trips_through_its_echo(cfg):
     ("train", TrainConfig(batch_size=2.5), "batch_size must be an integer, got 2.5"),
     ("split", SplitSpec(threshold_frac="0.2"), "threshold_frac must be a number"),
     ("split_seed", 1.5, "split_seed must be an integer, got 1.5"),
+    ("load", 5, "load must be a string or None, got 5"),
+    ("output_dir", 5, "output_dir must be a string, got 5"),
+    ("feature_sets", ["vib1d"], r"feature_sets must be a list of FeatureSetId, got \['vib1d'\]"),
+    ("detectors", "dnn", r"detectors must be a list of DetectorSpec, got \['dnn'\]"),
+    ("generate", {"seed": 1}, "generate must be a GeneratorConfig or None, got {'seed': 1}"),
+    ("split", {"train_frac": 0.7}, "split must be a SplitSpec, got {'train_frac': 0.7}"),
+    ("train", None, "train must be a TrainConfig, got None"),
+    ("detectors", DetectorSpec(kind="dnn"), "kind must be a DetectorKind, got 'dnn'"),
+    ("detectors", DetectorSpec(kind=DetectorKind.DNN, train={"max_epochs": 2}),
+     "train must be a TrainConfig or None, got {'max_epochs': 2}"),
 ], ids=["dnn-float-n", "bool-max-epochs", "float-batch-size", "string-fraction",
-        "float-split-seed"])
+        "float-split-seed", "int-load", "int-output-dir", "string-feature-set",
+        "string-detector", "dict-generate", "dict-split", "none-train", "string-kind",
+        "dict-detector-train"])
 def test_wrong_typed_python_config_is_a_config_error(tmp_path, slot, value, needle):
     # the JSON and CLI paths checked types; a config built in Python ran,
     # echoed a value --config refuses, or died with a TypeError
@@ -299,8 +312,8 @@ def test_run_writes_expected_files(experiment):
 
 
 def test_report_covers_the_grid(experiment):
-    cfg, report, _ = experiment
-    combos = [(r.detector.kind, r.feature_set) for r in report.rows]
+    cfg, rows, _ = experiment
+    combos = [(r.detector.kind, r.feature_set) for r in rows]
     assert len(combos) == len(set(combos)) == 6
     for det in cfg.detectors:
         for fs in cfg.feature_sets:
@@ -333,8 +346,8 @@ def test_threshold_matches_calibration_protocol(experiment, small_dataset, tag):
 
 
 def test_timeline_covers_every_sample_in_time_order(experiment, small_dataset):
-    _, report, _ = experiment
-    for timeline in report.timelines.values():
+    _, rows, _ = experiment
+    for timeline in [r.timeline for r in rows]:
         assert sorted(timeline["sample_id"].tolist()) == \
             sorted(s.sample_id for s in small_dataset)
         stamps = timeline["timestamp"].tolist()
@@ -343,29 +356,28 @@ def test_timeline_covers_every_sample_in_time_order(experiment, small_dataset):
 
 
 def test_timeline_truth_matches_dataset(experiment, small_dataset):
-    _, report, _ = experiment
+    _, rows, _ = experiment
     truth = {s.sample_id: s.is_anomaly for s in small_dataset}
-    for timeline in report.timelines.values():
+    for timeline in [r.timeline for r in rows]:
         for sample_id, is_anomaly in zip(timeline["sample_id"].tolist(),
                                          timeline["truth"].tolist()):
             assert is_anomaly == truth[sample_id]
 
 
 def test_report_metrics_recomputable_from_timeline(experiment):
-    _, report, _ = experiment
-    for row in report.rows:
-        timeline = report.timelines[(row.detector.kind.name, row.feature_set.name)]
+    _, rows, _ = experiment
+    for row in rows:
+        timeline = row.timeline
         ev = timeline["split"] == "eval"
         got = detect.evaluate(timeline["flagged"][ev], timeline["truth"][ev])
         assert got == row.metrics
 
 
 def test_timeline_csv_round_trips(experiment):
-    _, report, outdir = experiment
-    key = (DetectorKind.BM_IQR.name, FeatureSetId.VIB1D.name)
-    timeline = report.timelines[key]
-    threshold, = [r.threshold.value for r in report.rows
-                  if (r.detector.kind.name, r.feature_set.name) == key]
+    _, rows, outdir = experiment
+    row, = [r for r in rows
+            if (r.detector.kind, r.feature_set) == (DetectorKind.BM_IQR, FeatureSetId.VIB1D)]
+    timeline, threshold = row.timeline, row.threshold.value
     lines = (outdir / "timeline_bm_iqr_vib1d.csv").read_text().splitlines()
     assert lines[0] == "sample_id,timestamp,score,threshold,flagged,truth,split"
     assert len(lines) == len(timeline["sample_id"]) + 1
@@ -406,17 +418,17 @@ def test_train_then_evaluate_reproduces_run(small_dataset, tmp_path):
         return {p.relative_to(outdir): p.read_bytes() for p in outdir.rglob("*")
                 if p.is_file() and p.name != "runtimes.json"}
 
-    run_report = run_experiment(cfg, small_dataset)
+    run_rows = run_experiment(cfg, small_dataset)
     ran = files()
     shutil.rmtree(outdir)
     train_experiment(cfg, small_dataset)
     assert not (outdir / "report.txt").exists()
-    eval_report = evaluate_experiment(cfg, small_dataset)
+    eval_rows = evaluate_experiment(cfg, small_dataset)
     evaluated = files()
     assert evaluated.keys() == ran.keys()
     for rel, data in ran.items():
         assert evaluated[rel] == data, rel
-    for a, b in zip(run_report.rows, eval_report.rows):
+    for a, b in zip(run_rows, eval_rows):
         assert (a.detector.kind, a.feature_set) == (b.detector.kind, b.feature_set)
         assert a.metrics == b.metrics
         assert a.threshold == b.threshold
@@ -540,8 +552,8 @@ def test_bm_iqr_flags_every_nan_sample(tmp_path, small_dataset):
         provenance=small_dataset.provenance)
     cfg = _one_detector_config(tmp_path / "out", GeneratorConfig(
         n_samples_per_condition=8, seed=7))
-    report = run_experiment(cfg, poisoned)
-    timeline = report.timelines[("BM_IQR", "VIB1D")]
+    (row,) = run_experiment(cfg, poisoned)
+    timeline = row.timeline
     nan_rows = timeline["truth"]
     assert nan_rows.any() and timeline["flagged"][nan_rows].all()
     assert (timeline["score"][nan_rows] == 1.0).all()
@@ -557,9 +569,9 @@ def test_timeline_breaks_timestamp_ties_by_sample_id(tmp_path, small_dataset, bl
     stamped = Dataset(samples=samples, provenance=small_dataset.provenance)
     cfg = _one_detector_config(tmp_path / "out", GeneratorConfig(
         n_samples_per_condition=8, seed=7))
-    report = run_experiment(cfg, stamped)
+    (row,) = run_experiment(cfg, stamped)
     want = [s.sample_id for s in sorted(samples, key=lambda s: (s.timestamp, s.sample_id))]
-    timeline = report.timelines[("BM_IQR", "VIB1D")]
+    timeline = row.timeline
     assert timeline["sample_id"].tolist() == want
     lines = (tmp_path / "out" / "timeline_bm_iqr_vib1d.csv").read_text().splitlines()
     assert [int(line.split(",")[0]) for line in lines[1:]] == want
@@ -585,6 +597,25 @@ def test_train_experiment_builds_no_eval_features(tmp_path, small_dataset,
         assert path.read_bytes() == (tmp_path / "train" / rel).read_bytes(), rel
 
 
+def test_train_experiment_returns_its_fitted_rows(tmp_path, small_dataset):
+    # the fitted models come back to a Python caller as they were written
+    outdir = tmp_path / "out"
+    cfg = dataclasses.replace(_experiment_config(outdir),
+                              detectors=[DetectorSpec(kind=DetectorKind.BM_PCA),
+                                         DetectorSpec(kind=DetectorKind.BM_IQR)])
+    rows = train_experiment(cfg, small_dataset)
+    assert [(r.detector.kind, r.feature_set) for r in rows] == \
+        [(d.kind, fs) for fs in cfg.feature_sets for d in cfg.detectors]
+    for row in rows:
+        assert row.metrics is None and row.timeline is None
+        assert row.normalizer.feature_set == row.feature_set.name
+        combo = outdir / "artifacts" / f"{row.detector.kind.value}_{row.feature_set.value}"
+        assert row.threshold == detect.Threshold.load(combo / "threshold.json")
+        artifact = DETECTORS[row.detector.kind].artifact
+        row.model.save(tmp_path / artifact)
+        assert (tmp_path / artifact).read_bytes() == (combo / artifact).read_bytes()
+
+
 def test_empty_threshold_split_is_a_calibration_error(tmp_path):
     # two healthy samples per condition: one trains, none is left to calibrate
     gen = GeneratorConfig(n_samples_per_condition=2, anomaly_fraction=0.0, seed=1)
@@ -605,6 +636,20 @@ def test_empty_eval_split_is_a_usage_error(tmp_path):
     train_experiment(cfg)  # train never reads the eval split
     with pytest.raises(UsageError, match="at least one pair"):
         evaluate_experiment(cfg)
+
+
+def test_eval_split_without_a_healthy_sample_warns(tmp_path, small_dataset):
+    # 0.7 and 0.25 of each condition's 4 healthy rows round to 3 and 1, so
+    # no false positive can lower precision; the CLI raises the warning
+    cfg = dataclasses.replace(_one_detector_config(tmp_path / "out", GeneratorConfig()),
+                              split=SplitSpec(train_frac=0.7, threshold_frac=0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        train_experiment(cfg, small_dataset)  # train never reads the eval split
+    for entry in (run_experiment, evaluate_experiment):
+        with pytest.warns(EvalSplitWarning, match="train 15, threshold 5, eval 0"):
+            (row,) = entry(cfg, small_dataset)
+        assert row.metrics.tn + row.metrics.fp == 0
 
 
 def test_a_failing_combination_is_named_and_keeps_its_error(tmp_path, small_dataset,
@@ -657,10 +702,9 @@ def test_identical_configs_reproduce_output_bytes(tmp_path, small_dataset):
 # -------------------------------------------------------- rendering
 
 def _one_row_report(metrics):
-    row = Combination(detector=DetectorSpec(kind=DetectorKind.DNN),
-                      feature_set=FeatureSetId.VIB1D, metrics=metrics,
-                      threshold=detect.Threshold(1.0, 0.5, 0.25, 10))
-    return ExperimentReport(rows=[row])
+    return [Combination(detector=DetectorSpec(kind=DetectorKind.DNN),
+                        feature_set=FeatureSetId.VIB1D, metrics=metrics,
+                        threshold=detect.Threshold(1.0, 0.5, 0.25, 10))]
 
 
 def test_fmt2_rounds_half_up():
@@ -699,7 +743,7 @@ def test_render_orders_rows_canonically():
                         feature_set=fs, metrics=metrics,
                         threshold=detect.Threshold(1.0, 0.5, 0.25, 10))
             for fs in (FeatureSetId.FFT_VIB1D, FeatureSetId.VIB1D)]
-    text, _ = render_tables(ExperimentReport(rows=rows))
+    text, _ = render_tables(rows)
     lines = text.splitlines()
     first = next(i for i, l in enumerate(lines) if l.startswith("Vibrations 1D"))
     second = next(i for i, l in enumerate(lines) if l.startswith("FFT Vibrations 1D"))
@@ -707,7 +751,7 @@ def test_render_orders_rows_canonically():
 
 
 def test_render_groups_by_detector(experiment):
-    _, report, outdir = experiment
+    _, _, outdir = experiment
     text = (outdir / "report.txt").read_text()
     for label in ("== DNN ==", "== BM PCA ==", "== BM IQR =="):
         assert label in text
@@ -716,13 +760,12 @@ def test_render_groups_by_detector(experiment):
 
 def test_render_empty_report_is_an_error():
     with pytest.raises(UsageError):
-        render_tables(ExperimentReport(rows=[]))
+        render_tables([])
 
 
 def test_load_report_round_trips_rendering(experiment):
     _, _, outdir = experiment
-    report = load_report(outdir / "report.json")
-    text, csv_text = render_tables(report)
+    text, csv_text = render_tables(load_report(outdir / "report.json"))
     assert text == (outdir / "report.txt").read_text()
     assert csv_text == (outdir / "report.csv").read_text()
 
