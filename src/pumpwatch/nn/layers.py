@@ -19,7 +19,8 @@ Conventions shared by every layer:
   recurrent state for every time step instead of storing each step's
   gates and cell state, and returns ``None`` as its cache.  The other
   layers' caches are the input or shape they hold anyway, so they ignore
-  the flag.
+  the flag.  Conv1D caches its input, not its column matrix, and rebuilds
+  the columns in ``backward``.
 - A layer's configuration is its constructor's arguments.  Each one is
   annotated ``int``, ``bool`` or ``list`` and kept under its own name
   (a tuple may be kept for a list), so ``Layer.spec()``, the checkpoint
@@ -43,6 +44,18 @@ from ..util import field_types, typed_value
 
 # Time steps of the LSTM input projection computed per matmul.
 PROJECTION_STEPS = 8
+
+# Windows per block of Conv1D's forward column matrix: a call holds the
+# columns of at most this many windows, never of its whole batch.  Measured
+# on 2 cores with one OpenBLAS thread and numpy 2.4.6, in a process that
+# repeats the train_conv_dense benchmark call (seed 1; the median of 10
+# calls, in each of two processes): at 128 windows a call took 6.1-6.7k
+# minor page faults and the process peaked at 47.5 MiB RSS, against 4.6-5.1k
+# faults and 53.7 MiB with whole-batch columns.  At 32 and 64 windows a call
+# took 63-64k faults and 7-9% more wall time than at 128, for 45.6 MiB: as a
+# 128-row PREDICT_ROWS chunk once did (see network.py), the smaller blocks
+# let glibc trim the heap after every training step and fault it back in.
+COLUMN_WINDOWS = 128
 
 
 def _glorot(rng: SplitMix64, shape, fan_in, fan_out):
@@ -136,15 +149,23 @@ class Conv1D(Layer):
     Input (batch, time, in_channels), output (batch, time, filters).  The
     input is zero-padded on the right so output length equals input length.
 
-    The forward is one matmul of a column matrix (im2col; Chellapilla et
-    al. 2006) with the (kernel*in_channels, filters) weights.  The columns
-    go into one preallocated (batch, time, kernel*in_channels) buffer: the
-    block of offset o holds x shifted o steps earlier, and its last o rows
-    are the zero pad.  Splitting the matmul per offset, x@W0 + shift(x)@W1,
-    needs no columns at all, but it rounds differently (by up to 5e-15)
-    and was no faster in total, so the single matmul stays.  The backward
-    folds the column gradient back onto the input with one shifted
-    ``+=`` per offset, in the same order as the column blocks.
+    The forward multiplies a column matrix (im2col; Chellapilla et al.
+    2006) by the (kernel*in_channels, filters) weights.  The columns of
+    ``COLUMN_WINDOWS`` windows at a time go into one (windows, time,
+    kernel*in_channels) buffer: the block of offset o holds x shifted o
+    steps earlier, and its last o rows are the zero pad.  Each block's
+    matmul writes straight into the preallocated output.  The stacked
+    matmul multiplies each window's (time, kernel*in_channels) matrix on
+    its own, so the block size changes no bit.  Splitting the matmul per
+    offset, x@W0 + shift(x)@W1, needs no columns at all, but it rounds
+    differently (by up to 5e-15) and was no faster in total, so the
+    single matmul stays.
+
+    The cache is the input, as for ``Dense``; the columns are
+    ``kernel_size`` times as wide.  The backward rebuilds the whole batch's
+    columns once for the weight gradient and frees them before it folds
+    the column gradient back onto the input, with one shifted ``+=`` per
+    offset in the same order as the column blocks.
     """
 
     def __init__(self, in_channels: int, filters: int, kernel_size: int = 2):
@@ -181,17 +202,23 @@ class Conv1D(Layer):
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ShapeError(f"{self.describe()}: expected (batch, time, "
                              f"{self.in_channels}), got {x.shape}")
-        xcol = self._columns(x)
-        y = xcol @ self.W.reshape(-1, self.filters)
+        batch, time, _ = x.shape
+        w = self.W.reshape(-1, self.filters)
+        y = np.empty((batch, time, self.filters))
+        for start in range(0, batch, COLUMN_WINDOWS):
+            rows = slice(start, start + COLUMN_WINDOWS)
+            np.matmul(self._columns(x[rows]), w, out=y[rows])
         y += self.b
-        return y, xcol
+        return y, x
 
     def backward(self, grad, cache):
-        xcol = cache
-        time = xcol.shape[1]
+        x = cache
+        time = x.shape[1]
         ch = self.in_channels
         g2 = grad.reshape(-1, self.filters)
-        gw = (xcol.reshape(-1, self.kernel_size * ch).T @ g2).reshape(self.W.shape)
+        # One expression, so the rebuilt columns are freed before dxcol exists.
+        gw = (self._columns(x).reshape(-1, self.kernel_size * ch).T @ g2
+              ).reshape(self.W.shape)
         dxcol = grad @ self.W.reshape(-1, self.filters).T
         dx = dxcol[:, :, :ch].copy()
         for o in range(1, min(self.kernel_size, time)):

@@ -24,14 +24,19 @@ _CHECKPOINT_TAG = "pumpwatch-model-v1"
 # ``Network.predict`` runs one forward per chunk, and the score stage of the
 # harness calls every detector's ``window_errors`` per chunk.  Measured on 2
 # cores with one OpenBLAS thread and numpy 2.4.6: on 640 windows a 3-channel
-# CNN holds a tracemalloc peak of 28.1 / 14.4 / 7.8 MiB at 512 / 256 / 128
-# rows, and a 3-channel LSTM (n=64) 34.6 / 17.8 / 9.6 MiB; 256 is also no
-# slower.  128 is worse: glibc sets its heap trim threshold to twice the
-# largest mmapped block freed so far, and at 128 rows the CNN's largest
-# column buffer (4.2 MB) leaves it below what one training step frees, so
-# every step of a later fit returns its memory and faults it back in: a
-# train_conv_dense benchmark call took about 96k minor faults against 6k at
-# 256 rows, and 18% more wall time.
+# CNN holds a tracemalloc peak of 16.0 / 11.3 / 8.1 MiB at 512 / 256 / 128
+# rows, and a 3-channel LSTM (n=64) 34.6 / 18.8 / 10.0 MiB; 256 is also no
+# slower.  The CNN's largest column buffer is one block of
+# ``layers.COLUMN_WINDOWS`` windows, 4.2 MB, at any of these chunk sizes.
+# glibc sets its heap trim threshold to twice the largest mmapped block
+# freed so far.  While a 128-row chunk held the CNN's whole column matrix,
+# that left the threshold below what one training step frees, so every step
+# of a later fit returned its memory and faulted it back in: 102k minor
+# faults per train_conv_dense benchmark call against 5k at 256 rows, and
+# 7-18% more wall time.  With the blocked columns 128 rows take 2.0k faults
+# and 45.5 MiB max RSS (47.5 at 256), but the chunk size is part of the
+# outputs: BM_PCA and DNN window errors are 2-D matmuls whose last bits
+# depend on the row count, so 128 rows change their timelines and reports.
 PREDICT_ROWS = 256
 
 

@@ -216,10 +216,28 @@ def test_conv_matches_reference_bit_for_bit(kernel, time):
     x = _signed_ties(rng, (5, time, 3))
     y, cache = layer.forward(x)
     want_y, want_cache = _conv_forward_ref(layer, x)
-    assert _same_bits(y, want_y) and _same_bits(cache, want_cache)
+    assert _same_bits(y, want_y) and cache is x
     grad = rng.normal(size=y.shape)
     dx, pgrads = layer.backward(grad, cache)
     want_dx, want_pgrads = _conv_backward_ref(layer, grad, want_cache)
+    assert _same_bits(dx, want_dx)
+    assert pgrads.keys() == want_pgrads.keys()
+    assert all(_same_bits(pgrads[n], want_pgrads[n]) for n in pgrads)
+
+
+@pytest.mark.parametrize("kernel", [2, 3])
+def test_conv_column_blocks_match_reference_bit_for_bit(kernel):
+    # two whole blocks of COLUMN_WINDOWS windows and a partial one of 3
+    rng = np.random.default_rng(40 + kernel)
+    layer = Conv1D(3, 4, kernel_size=kernel)
+    layer.init_params(seed=kernel)
+    x = rng.normal(size=(2 * layers.COLUMN_WINDOWS + 3, 8, 3))
+    y, cache = layer.forward(x)
+    want_y, want_xcol = _conv_forward_ref(layer, x)
+    assert _same_bits(y, want_y) and cache is x
+    grad = rng.normal(size=y.shape)
+    dx, pgrads = layer.backward(grad, cache)
+    want_dx, want_pgrads = _conv_backward_ref(layer, grad, want_xcol)
     assert _same_bits(dx, want_dx)
     assert pgrads.keys() == want_pgrads.keys()
     assert all(_same_bits(pgrads[n], want_pgrads[n]) for n in pgrads)
@@ -555,6 +573,21 @@ def test_cnn_recipe_predict_memory_is_capped():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_cnn_recipe_predict_holds_one_column_block():
+    # with a whole 256-row chunk's column matrix per Conv1D call the same
+    # predict peaked at 15.4 MiB; in blocks of COLUMN_WINDOWS it is 11.3
+    from pumpwatch.models import build_cnn
+    net = build_cnn(channels=3, seed=1).network
+    x = np.random.default_rng(28).normal(size=(640, 64, 3))
+    tracemalloc.start()
+    try:
+        net.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 2**20
 
 
 def test_lstm_recipe_predict_equals_cached_forward():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pumpwatch.errors import ConfigError, TrainingError, UsageError
-from pumpwatch.models import build_lstm
+from pumpwatch.models import build_cnn, build_lstm
 from pumpwatch.nn import LSTM, Adam, Dense, Network, Tanh, TrainConfig, train
 
 
@@ -202,3 +202,17 @@ def test_lstm_recipe_fit_holds_one_step_of_activations():
     finally:
         tracemalloc.stop()
     assert peak < 80 * 2**20
+
+
+def test_cnn_recipe_fit_caches_no_column_matrix():
+    # one B=128 step peaked at 35.1 MiB while every Conv1D cached its
+    # (batch, time, kernel*channels) columns until backward; 26.2 caching x
+    net = build_cnn(channels=3, seed=1).network
+    windows = np.random.default_rng(29).normal(size=(142, 64, 3))  # 128 train
+    tracemalloc.start()
+    try:
+        train(net, windows, TrainConfig(batch_size=128, max_epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 31 * 2**20
