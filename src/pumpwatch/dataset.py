@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, DatasetFormatError, ShapeError, SplitError
 from .rng import SplitMix64, derive_seed
-from .util import check_types_and_finiteness, field_types, round_half_up, typed_value
+from .util import (check_keys, check_types_and_finiteness, field_types, round_half_up,
+                   typed_value)
 
 OPERATING_FREQS_HZ = (50, 100, 150, 200, 250)
 CHANNEL_LENGTH = 1024
@@ -294,6 +295,8 @@ def load_dataset(path) -> Dataset:
         if not isinstance(header, dict) or header.get("format") != _FORMAT_TAG:
             raise DatasetFormatError(
                 f"missing or unknown format tag (expected {_FORMAT_TAG!r})", line_number=1)
+        check_keys(header, ("format", "provenance", "generator_seed"), "the header",
+                   functools.partial(DatasetFormatError, line_number=1))
         provenance, generator_seed = header.get("provenance", "file"), header.get("generator_seed")
         _check_header(provenance, generator_seed, line_number=1)
         n = sum(1 for _ in f)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -61,8 +61,8 @@ from .rng import derive_seed
 from .signal import (FEATURE_SET_ORDER, WINDOW_SIZE, FeatureSetId, Normalizer,
                      apply_normalizer, assemble_features, channel_count,
                      feature_length, fit_normalizer, window)
-from .util import (check_types_and_finiteness, dataclass_from_dict, read_json, typed_value,
-                   write_json)
+from .util import (check_keys, check_types_and_finiteness, dataclass_from_dict, read_json,
+                   typed_value, write_json)
 
 
 @dataclass
@@ -74,8 +74,9 @@ class DetectorSpec:
     train: Optional[TrainConfig] = None
 
     def validate(self):
-        check_types_and_finiteness(self, ["kind", "train"])
-        check_types_and_finiteness(self, DETECTORS[self.kind].keys)
+        check_types_and_finiteness(self)
+        check_keys([f.name for f in fields(self) if getattr(self, f.name) != f.default],
+                   ("kind", *DETECTORS[self.kind].keys), f"detector {self.kind.name}")
         DETECTORS[self.kind].check(self)
         if self.train is not None:
             self.train.validate()

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ShapeError, UsageError
 from ..rng import derive_seed
-from ..util import read_json, write_json
+from ..util import check_keys, read_json, write_json
 from .layers import layer_from_spec
 
 _CHECKPOINT_TAG = "pumpwatch-model-v1"
@@ -163,16 +163,19 @@ class Network:
 
     @classmethod
     def load(cls, path):
-        """A saved network, each layer checked by ``layer_from_spec`` and each tensor finite."""
+        """A saved network, each layer checked by ``layer_from_spec`` and each tensor finite;
+        a key of the document or of a tensor entry that ``save`` does not write is refused."""
         doc = read_json(path)
         tag = doc.get("format") if isinstance(doc, dict) else None
         if tag != _CHECKPOINT_TAG:
             raise UsageError(f"{path} is not a model checkpoint: format tag {tag!r}")
         try:
+            check_keys(doc, ("format", "layers", "params"), str(path), UsageError)
             net = cls([layer_from_spec(s, f"layer {idx} of {path}")
                        for idx, s in enumerate(doc["layers"])])
             values = {}
             for name, entry in doc["params"].items():
+                check_keys(entry, ("shape", "data"), f"tensor {name} of {path}", UsageError)
                 raw = base64.b64decode(entry["data"])
                 values[name] = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
                 if not np.isfinite(values[name]).all():

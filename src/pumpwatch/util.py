@@ -87,20 +87,20 @@ def _type_name(tp) -> str:
     return "None" if tp is type(None) else _JSON_TYPES.get(tp, f"a {tp.__name__}")
 
 
-def check_types_and_finiteness(obj, names=None):
-    """Each field of ``obj`` (of ``names``, if given) checked against its
-    declared type: an int, float, bool or str field is passed through
-    ``typed_value`` and stored back, so an int in a float field becomes a
-    float, and any other field must be of its class, its Optional or its
-    List.  A ConfigError names the first field of the wrong type or the
-    first float field that is NaN or infinite.
+def check_types_and_finiteness(obj):
+    """Each field of ``obj`` checked against its declared type: an int,
+    float, bool or str field is passed through ``typed_value`` and stored
+    back, so an int in a float field becomes a float, and any other field
+    must be of its class, its Optional or its List.  A ConfigError names
+    the first field of the wrong type or the first float field that is NaN
+    or infinite.
 
     Every config dataclass's ``validate`` calls this first, so a config file
     (JSON allows NaN and Infinity), a CLI flag and the Python API all pass
     through it.
     """
     types = field_types(type(obj))
-    for name in [f.name for f in dataclasses.fields(obj)] if names is None else names:
+    for name in [f.name for f in dataclasses.fields(obj)]:
         if types[name] not in (int, float, bool, str):
             if not _is_declared(getattr(obj, name), types[name]):
                 raise ConfigError(f"{name} must be {_type_name(types[name])}, "
@@ -110,6 +110,13 @@ def check_types_and_finiteness(obj, names=None):
         if types[name] is float and not math.isfinite(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
         setattr(obj, name, value)
+
+
+def check_keys(keys, known, what, error=ConfigError):
+    """A key of ``keys`` that is not in ``known`` is ``error`` naming it and ``what``."""
+    unknown = set(keys) - set(known)
+    if unknown:
+        raise error(f"unknown keys {sorted(unknown)} in {what}; known keys are {sorted(known)}")
 
 
 def dataclass_from_dict(cls, doc, what, skip=(), error=ConfigError, keys=None, **parsed):
@@ -125,10 +132,7 @@ def dataclass_from_dict(cls, doc, what, skip=(), error=ConfigError, keys=None, *
         raise error(f"{what} must be a JSON object, not {type(doc).__name__}")
     fields = dataclasses.fields(cls)
     names = {f.name for f in fields} if keys is None else set(keys)
-    unknown = set(doc) - names - set(skip)
-    if unknown:
-        raise error(f"unknown keys {sorted(unknown)} in {what}; "
-                    f"known keys are {sorted(names | set(skip))}")
+    check_keys(doc, names | set(skip), what, error)
     missing = [f.name for f in fields if f.name not in doc and f.name not in parsed
                and f.default is dataclasses.MISSING
                and f.default_factory is dataclasses.MISSING]
@@ -146,8 +150,8 @@ class JsonFields:
     Arrays are written as nested lists and read back as arrays.  ``load``
     checks every field's type (``typed_value``) and that it is finite.  An
     array is a vector of length ``n`` unless ``SHAPES`` names its
-    dimensions; each name is one length in every field.  Keys that are not
-    fields are ignored.
+    dimensions; each name is one length in every field.  A key that is not
+    a field is refused, as in a config file.
     """
     SHAPES = {}
 
@@ -160,12 +164,7 @@ class JsonFields:
 
     @classmethod
     def load(cls, path):
-        doc = read_json(path)
-        if not isinstance(doc, dict):
-            raise UsageError(f"{path} does not hold a JSON object")
-        names = {f.name for f in dataclasses.fields(cls)}
-        obj = dataclass_from_dict(cls, {k: v for k, v in doc.items() if k in names},
-                                  str(path), error=UsageError)
+        obj = dataclass_from_dict(cls, read_json(path), str(path), error=UsageError)
         lengths = {}
         for f in dataclasses.fields(cls):
             value = getattr(obj, f.name)

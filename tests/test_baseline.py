@@ -235,14 +235,14 @@ def test_iqr_affine_invariance():
     assert np.array_equal(base_ratios, scaled_ratios)
 
 
-def test_iqr_model_file_with_a_ratio_threshold_still_loads(tmp_path):
-    # iqr.json files once carried a ratio threshold that nothing read back
+def test_iqr_model_file_with_a_ratio_threshold_is_refused(tmp_path):
+    # iqr.json files once carried a ratio threshold that nothing read back;
+    # an artifact key nothing reads is refused, as in a config file
     path = tmp_path / "iqr.json"
     path.write_text(json.dumps({"means": [0.0, 1.0], "iqrs": [2.0, 3.0],
                                 "ratio_threshold": 0.25}))
-    m = IqrModel.load(path)
-    assert np.array_equal(m.means, [0.0, 1.0])
-    assert np.array_equal(m.iqrs, [2.0, 3.0])
+    with pytest.raises(UsageError, match=r"unknown keys \['ratio_threshold'\] in .*iqr\.json"):
+        IqrModel.load(path)
 
 
 def test_iqr_errors():

@@ -158,9 +158,11 @@ def _set(key, value):
     ("bm_pca_vib1d/pca.json", _set("components", lambda v: v[0])),
     ("bm_iqr_vib1d/threshold.json", _set("value", float("nan"))),
     ("vib1d/normalizer.json", _swap_mins_and_maxs),
+    # the key an older iqr.json layout held, which nothing read back
+    ("bm_iqr_vib1d/iqr.json", _set("ratio_threshold", 0.25)),
 ], ids=["pca-without-k", "truncated-threshold", "normalizer-string", "normalizer-ragged",
         "normalizer-2d", "iqr-string", "iqr-bools", "pca-null-mean", "pca-1d-components",
-        "threshold-nan", "normalizer-swapped"])
+        "threshold-nan", "normalizer-swapped", "iqr-ratio-threshold"])
 def test_malformed_artifact_exits_2_naming_the_file(dataset_file, tmp_path, capsys,
                                                     artifact, corrupt):
     outdir = tmp_path / "out"

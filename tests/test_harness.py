@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import shutil
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ import pytest
 
 from pumpwatch import baseline, detect, harness
 from pumpwatch.dataset import (Dataset, GeneratorConfig, SplitSpec,
-                               generate_synthetic)
+                               generate_synthetic, load_dataset, save_dataset)
 from pumpwatch.dataset import split as split_dataset
 from pumpwatch.errors import (CalibrationError, ConfigError, DatasetFormatError,
                               EvalSplitWarning, ShapeError, TrainingError, UsageError)
@@ -24,7 +25,7 @@ from pumpwatch.harness import (Combination, DetectorKind, DetectorSpec,
                                resolved_config_dict, run_experiment,
                                train_experiment)
 from pumpwatch.models import DETECTORS, Autoencoder, build_cnn, build_dnn, build_lstm
-from pumpwatch.nn.network import PREDICT_ROWS, by_chunks
+from pumpwatch.nn.network import PREDICT_ROWS, Network, by_chunks
 from pumpwatch.nn.train import TrainConfig
 from pumpwatch.signal import (FEATURE_SET_ORDER, FeatureSetId, Normalizer,
                               apply_normalizer, assemble_features,
@@ -235,16 +236,80 @@ def test_detector_sizes_are_checked_by_validate(tmp_path, detector, needle):
     assert not outdir.exists()
 
 
-def test_detector_size_checks_ignore_other_kinds_fields():
-    # n, cnn_bottleneck and variance_target each bound only their own kind
-    DetectorSpec(kind=DetectorKind.BM_IQR, n=1, cnn_bottleneck=0,
-                 variance_target=5.0).validate()
-    DetectorSpec(kind=DetectorKind.CNN, n=1, variance_target=0.0).validate()
-    DetectorSpec(kind=DetectorKind.LSTM, n=500, cnn_bottleneck=0).validate()
-    # and a kind that does not read variance_target takes it non-finite too
+def test_detector_spec_refuses_other_kinds_fields():
+    # a field its kind does not read is refused, as a config file refuses
+    # the key, and a size check bounds only its own kind
+    for spec in (DetectorSpec(kind=DetectorKind.BM_IQR, n=1, cnn_bottleneck=0,
+                              variance_target=5.0),
+                 DetectorSpec(kind=DetectorKind.CNN, n=1, variance_target=0.0),
+                 DetectorSpec(kind=DetectorKind.LSTM, n=500, cnn_bottleneck=0)):
+        with pytest.raises(ConfigError, match=f"unknown keys .* in detector {spec.kind.name};"):
+            spec.validate()
     for kind in set(DetectorKind) - {DetectorKind.BM_PCA}:
         for bad in (math.nan, math.inf, -math.inf):
-            DetectorSpec(kind=kind, variance_target=bad).validate()
+            with pytest.raises(ConfigError, match="variance_target"):
+                DetectorSpec(kind=kind, variance_target=bad).validate()
+    DetectorSpec(kind=DetectorKind.BM_IQR).validate()
+    DetectorSpec(kind=DetectorKind.CNN, cnn_bottleneck=16).validate()
+    DetectorSpec(kind=DetectorKind.LSTM, n=500).validate()  # above DNN's bound of 200
+
+
+def _saved_with_key(obj, path, entry=None):
+    """``path`` after ``obj.save(path)``, with the key "stray" added to its
+    JSON object, or to the first value of its ``entry`` object."""
+    obj.save(path)
+    doc = json.loads(path.read_text())
+    (next(iter(doc[entry].values())) if entry else doc)["stray"] = 1
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _dataset_with_header_key(path):
+    save_dataset(generate_synthetic(GeneratorConfig(n_samples_per_condition=2)), path)
+    header, rows = path.read_text().split("\n", 1)
+    path.write_text(header[:-1] + ',"provenence":"rig 7"}\n' + rows)
+    return path
+
+
+_ROWS = np.random.default_rng(5).normal(size=(20, 4))
+_FOREIGN_FIELDS = [(DetectorSpec(kind=DetectorKind.DNN, cnn_bottleneck=16), "cnn_bottleneck"),
+                   (DetectorSpec(kind=DetectorKind.LSTM, variance_target=0.5), "variance_target"),
+                   (DetectorSpec(kind=DetectorKind.CNN, n=64), "n"),
+                   (DetectorSpec(kind=DetectorKind.BM_PCA, train=TrainConfig()), "train"),
+                   (DetectorSpec(kind=DetectorKind.BM_IQR, n=7), "n")]
+
+
+def _artifact_case(name, load, obj, entry=None, where=""):
+    return pytest.param(lambda tmp: load(_saved_with_key(obj, tmp / name, entry)), UsageError,
+                        f"unknown keys ['stray'] in {where}{{tmp}}/{name};",
+                        id=name.replace(".json", "") + ("-tensor" if entry else ""))
+
+
+@pytest.mark.parametrize("reader, error, needle", [
+    pytest.param(lambda tmp: config_from_dict({"detectors": [{"kind": "bm_iqr", "n": 7}]}),
+                 ConfigError, "unknown keys ['n'] in detector BM_IQR; known keys are ['kind']",
+                 id="config-file-detector"),
+    *[pytest.param(lambda tmp, spec=spec: spec.validate(), ConfigError,
+                   f"unknown keys ['{key}'] in detector {spec.kind.name};",
+                   id=f"python-{spec.kind.name}") for spec, key in _FOREIGN_FIELDS],
+    _artifact_case("threshold.json", detect.Threshold.load, detect.Threshold(1.0, 0.5, 0.5, 3)),
+    _artifact_case("normalizer.json", Normalizer.load,
+                   Normalizer(np.zeros(1), np.ones(1), "VIB1D")),
+    _artifact_case("pca.json", baseline.PcaModel.load, baseline.pca_fit(_ROWS)),
+    _artifact_case("iqr.json", baseline.IqrModel.load, baseline.iqr_fit(_ROWS)),
+    _artifact_case("model.json", Network.load, build_dnn(64, 64).network),
+    _artifact_case("model.json", Network.load, build_dnn(64, 64).network, entry="params",
+                   where="tensor L0.W of "),
+    pytest.param(lambda tmp: load_dataset(_dataset_with_header_key(tmp / "pumps.jsonl")),
+                 DatasetFormatError, "line 1: unknown keys ['provenence'] in the header;",
+                 id="dataset-header"),
+])
+def test_each_reader_refuses_a_key_it_does_not_read(tmp_path, reader, error, needle):
+    # config files always did; artifact files skipped such a key, a Python
+    # DetectorSpec kept it unechoed, and a checkpoint or dataset header
+    # never looked
+    with pytest.raises(error, match=re.escape(needle.format(tmp=tmp_path))):
+        reader(tmp_path)
 
 
 def test_parse_feature_sets():
