@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -112,25 +113,24 @@ def _experiment_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _command(args):
-    """Run one subcommand; its errors reach ``main``."""
+def _command(args) -> str:
+    """Run one subcommand and return what it prints; its errors reach ``main``."""
     if args.command == "generate":
         ds = generate_synthetic(_generator_config(args))
         save_dataset(ds, args.out)
-        print(f"wrote {len(ds)} samples to {args.out}")
-    elif args.command == "run":
-        print(render_tables(run_experiment(_experiment_config(args)))[0])
-    elif args.command == "train":
+        return f"wrote {len(ds)} samples to {args.out}"
+    if args.command == "run":
+        return render_tables(run_experiment(_experiment_config(args)))[0]
+    if args.command == "train":
         cfg = _experiment_config(args)
         train_experiment(cfg)
-        print(f"artifacts written to {Path(cfg.output_dir) / 'artifacts'}")
-    elif args.command == "evaluate":
-        print(render_tables(evaluate_experiment(_experiment_config(args)))[0])
-    elif args.command == "report":
-        if not args.report and not args.output_dir:
-            raise ConfigError("report needs --report or --output-dir")
-        path = args.report or str(Path(args.output_dir) / "report.json")
-        print(render_tables(load_report(path))[0])
+        return f"artifacts written to {Path(cfg.output_dir) / 'artifacts'}"
+    if args.command == "evaluate":
+        return render_tables(evaluate_experiment(_experiment_config(args)))[0]
+    if not args.report and not args.output_dir:
+        raise ConfigError("report needs --report or --output-dir")
+    path = args.report or str(Path(args.output_dir) / "report.json")
+    return render_tables(load_report(path))[0]
 
 
 def main(argv=None) -> int:
@@ -139,7 +139,15 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             # A report whose eval split has no healthy sample is refused here.
             warnings.simplefilter("error", EvalSplitWarning)
-            _command(args)
+            text = _command(args)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # Every file is written: a reader that closed stdout early is no
+            # failure.  Point stdout at devnull so the flush at exit is quiet.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     except (PumpwatchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

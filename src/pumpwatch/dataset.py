@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, DatasetFormatError, ShapeError, SplitError
 from .rng import SplitMix64, derive_seed
 from .util import (check_keys, check_types_and_finiteness, field_types, round_half_up,
-                   typed_value)
+                   typed_value, unique_keys)
 
 OPERATING_FREQS_HZ = (50, 100, 150, 200, 250)
 CHANNEL_LENGTH = 1024
@@ -42,7 +42,7 @@ CHANNELS = {
     "vib_z": VIB_RATE_HZ,
 }
 
-_FORMAT_TAG = "pumpwatch-dataset-v1"
+_FORMAT_TAG = "pumpwatch-dataset-v2"
 
 # generate_synthetic draws this many samples' streams at once, so that its
 # transient arrays stay a fixed size however large the dataset.
@@ -51,7 +51,8 @@ GENERATE_BLOCK = 16
 
 @dataclass(eq=False)
 class SensorSample:
-    """One recording, four 1024-point channels plus metadata: a Dataset's row view."""
+    """One recording, four 1024-point channels plus its id, time, drive
+    frequency and label: a Dataset's row view."""
 
     sample_id: int
     timestamp: float
@@ -60,9 +61,6 @@ class SensorSample:
     vib_x: np.ndarray
     vib_y: np.ndarray
     vib_z: np.ndarray
-    temperature: float
-    rotation_tag: bool = False
-    tube_id: int = 0
     is_anomaly: bool = False
 
 
@@ -123,7 +121,6 @@ class Dataset:
                  (~np.isin(freqs, OPERATING_FREQS_HZ),
                   lambda i: f"operating_freq_hz {freqs[i]} not in {OPERATING_FREQS_HZ}"),
                  (~np.isfinite(self.timestamp), lambda i: "timestamp is not finite"),
-                 (~np.isfinite(self.temperature), lambda i: "temperature is not finite"),
                  (np.full(len(self), length != CHANNEL_LENGTH),
                   lambda i: f"channel audio has length {length}, expected {CHANNEL_LENGTH}"),
                  (~finite.all(axis=1), lambda i: f"channel {list(CHANNELS)[finite[i].argmin()]} "
@@ -210,11 +207,11 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
     (base_amplitude / h) * sin(2*pi*h*f*t + phase) sampled at the channel
     rate, plus N(0, noise_std) noise.  Anomalies multiply the 2nd-harmonic
     amplitude and the noise level.  Sample ``i`` draws its channel ``ci``
-    phases from stream ``"phase", i, ci``, its noise from ``"noise", i, ci``
-    and its temperature jitter from ``"temp", i``, so the stream layout is
-    stable under config changes elsewhere.  ``docs/prng.md`` lists every
-    stream.  The streams of up to ``GENERATE_BLOCK`` samples are drawn as
-    one block per channel; each row equals its sample's own stream.
+    phases from stream ``"phase", i, ci`` and its noise from ``"noise", i,
+    ci``, so the stream layout is stable under config changes elsewhere.
+    ``docs/prng.md`` lists every stream.  The streams of up to
+    ``GENERATE_BLOCK`` samples are drawn as one block per channel; each row
+    equals its sample's own stream.
     """
     config.validate()
     schedule = []
@@ -229,10 +226,9 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
     ids = np.arange(n, dtype=np.int64)
     freq_hz = np.array([freq for freq, _ in schedule], dtype=np.int64)
     anomalous = np.array([is_anom for _, is_anom in schedule], dtype=np.bool_)
-    channels, temp_noise = np.empty((n, len(CHANNELS), CHANNEL_LENGTH)), np.empty(n)
+    channels = np.empty((n, len(CHANNELS), CHANNEL_LENGTH))
     # derive_seed(seed, "phase", i, ci) == derive_seed(phase_root, i, ci).
-    phase_root, noise_root, temp_root = (derive_seed(config.seed, tag)
-                                         for tag in ("phase", "noise", "temp"))
+    phase_root, noise_root = (derive_seed(config.seed, tag) for tag in ("phase", "noise"))
     for start in range(0, n, GENERATE_BLOCK):
         rows = range(start, min(start + GENERATE_BLOCK, n))
         block = slice(rows.start, rows.stop)
@@ -254,12 +250,9 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
                 sig = sig + std * SplitMix64(
                     [derive_seed(noise_root, i, ci) for i in rows]).normals(CHANNEL_LENGTH)
             channels[block, ci] = sig
-        temp_noise[block] = SplitMix64([derive_seed(temp_root, i) for i in rows]).normals(1)[:, 0]
     return Dataset(provenance="synthetic", generator_seed=config.seed, channels=channels,
                    sample_id=ids, timestamp=1_700_000_000.0 + 60.0 * ids,
-                   operating_freq_hz=freq_hz, temperature=40.0 + 0.002 * ids + 0.05 * temp_noise,
-                   rotation_tag=np.zeros(n, dtype=np.bool_), tube_id=np.zeros(n, dtype=np.int64),
-                   is_anomaly=anomalous)
+                   operating_freq_hz=freq_hz, is_anomaly=anomalous)
 
 
 def save_dataset(ds: Dataset, path):
@@ -289,12 +282,17 @@ def load_dataset(path) -> Dataset:
         if not header_line:
             raise DatasetFormatError("empty file", line_number=1)
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as e:
+            header = json.loads(header_line, object_pairs_hook=unique_keys)
+        except ValueError as e:
             raise DatasetFormatError(f"header is not valid JSON: {e}", line_number=1)
-        if not isinstance(header, dict) or header.get("format") != _FORMAT_TAG:
-            raise DatasetFormatError(
-                f"missing or unknown format tag (expected {_FORMAT_TAG!r})", line_number=1)
+        if not isinstance(header, dict):
+            raise DatasetFormatError("header is not a JSON object", line_number=1)
+        found = header.get("format")
+        if found != _FORMAT_TAG:
+            hint = ("; docs/dataset-format.md says how to convert a v1 file"
+                    if found == "pumpwatch-dataset-v1" else "")
+            raise DatasetFormatError(f"format tag {found!r}, expected {_FORMAT_TAG!r}{hint}",
+                                     line_number=1)
         check_keys(header, ("format", "provenance", "generator_seed"), "the header",
                    functools.partial(DatasetFormatError, line_number=1))
         provenance, generator_seed = header.get("provenance", "file"), header.get("generator_seed")
@@ -320,8 +318,8 @@ def _read_row(line, row, scalars, channels):
     if not line.strip():
         raise DatasetFormatError("blank line")
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
+        obj = json.loads(line, object_pairs_hook=unique_keys)
+    except ValueError as e:
         raise DatasetFormatError(f"not valid JSON: {e}")
     if not isinstance(obj, dict):
         raise DatasetFormatError("sample line is not a JSON object")

@@ -27,11 +27,22 @@ def write_json(doc, path):
         f.write("\n")
 
 
+def unique_keys(pairs):
+    """``object_pairs_hook`` for ``json``: an object that repeats a key, whose
+    last value plain ``json`` would keep, is a ValueError naming the key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
+
+
 def read_json(path):
-    """Parse a JSON file; a missing or unparsable file is a UsageError naming it."""
+    """Parse a JSON file; a missing or unparsable file, or one that repeats
+    a key in an object, is a UsageError naming it."""
     try:
         with open(path) as f:
-            return json.load(f)
+            return json.load(f, object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise UsageError(f"missing file {path}")
     except ValueError as e:

@@ -2,10 +2,15 @@
 
 import argparse
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pumpwatch
 from pumpwatch.cli import _build_parser, _experiment_config, main
 from pumpwatch.dataset import load_dataset
 from pumpwatch.harness import resolved_config_dict
@@ -87,6 +92,33 @@ def test_config_file_drives_run(dataset_file, tmp_path, capsys):
     assert "== BM IQR ==" in capsys.readouterr().out
     resolved = json.loads((tmp_path / "out" / "config_resolved.json").read_text())
     assert resolved["detectors"][0]["kind"] == "BM_IQR"
+
+
+def test_config_that_repeats_a_key_exits_2_naming_it(dataset_file, tmp_path, capsys):
+    # plain json keeps the last value, which would run this config into b
+    a, b = (json.dumps(str(tmp_path / name)) for name in "ab")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"dataset": {{"load": {json.dumps(str(dataset_file))}}}, '
+                        f'"feature_sets": ["vib1d"], "detectors": ["bm_iqr"], '
+                        f'"output_dir": {a}, "output_dir": {b}}}')
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "repeated key 'output_dir'" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def test_report_to_a_closed_stdout_exits_0_quietly(dataset_file, tmp_path, capsys):
+    # every file is written before the tables are printed, so a reader that
+    # stops early (`| head`) is no failure
+    outdir = tmp_path / "out"
+    assert main(_run_args(dataset_file, outdir)) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(pumpwatch.__file__).parents[1])}
+    child = subprocess.Popen([sys.executable, "-m", "pumpwatch.cli", "report",
+                              "--output-dir", str(outdir)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()  # before the child has imported numpy, let alone printed
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (0, b"")
 
 
 def test_unknown_detector_exits_2(dataset_file, tmp_path, capsys):

@@ -70,8 +70,6 @@ def test_generator_sample_fields():
     ds = generate_synthetic(GeneratorConfig(n_samples_per_condition=2, seed=1))
     for i, s in enumerate(ds):
         assert s.timestamp == 1_700_000_000.0 + 60.0 * i
-        assert 39.0 < s.temperature < 41.5
-        assert s.rotation_tag is False and s.tube_id == 0
         for name in CHANNELS:
             ch = getattr(s, name)
             assert ch.shape == (CHANNEL_LENGTH,) and np.isfinite(ch).all()
@@ -116,7 +114,7 @@ def test_anomaly_noise_gain_is_exact_doubling():
 
 def _reference_samples(cfg):
     """The dataset built one sample and one stream at a time, as docs/prng.md
-    specifies: yields (freq, is_anomaly, temperature, channels) per sample."""
+    specifies: yields (freq, is_anomaly, channels) per sample."""
     schedule = []
     for freq in OPERATING_FREQS_HZ:
         n = cfg.n_samples_per_condition
@@ -140,8 +138,7 @@ def _reference_samples(cfg):
                 sig = sig + std * SplitMix64(
                     derive_seed(cfg.seed, "noise", i, ci)).normals(CHANNEL_LENGTH)
             chans[name] = sig
-        temp = SplitMix64(derive_seed(cfg.seed, "temp", i)).normals(1)[0]
-        yield freq, is_anom, 40.0 + 0.002 * i + 0.05 * temp, chans
+        yield freq, is_anom, chans
 
 
 @pytest.mark.parametrize("overrides", [
@@ -160,9 +157,8 @@ def test_generator_equals_per_sample_reference(overrides):
     ds = generate_synthetic(cfg)
     ref = list(_reference_samples(cfg))
     assert len(ds) == len(ref)
-    for s, (freq, is_anom, temp, chans) in zip(ds, ref):
+    for s, (freq, is_anom, chans) in zip(ds, ref):
         assert (s.operating_freq_hz, s.is_anomaly) == (freq, is_anom)
-        assert float(s.temperature).hex() == float(temp).hex()
         for name in CHANNELS:
             assert getattr(s, name).tobytes() == chans[name].tobytes(), name
 
@@ -258,9 +254,6 @@ def _sample_obj(sample_id, **overrides):
         "sample_id": sample_id,
         "timestamp": 0.0,
         "operating_freq_hz": 50,
-        "temperature": 40.0,
-        "rotation_tag": False,
-        "tube_id": 0,
         "is_anomaly": False,
     }
     for name in CHANNELS:
@@ -269,14 +262,53 @@ def _sample_obj(sample_id, **overrides):
     return obj
 
 
-_HEADER = json.dumps({"format": "pumpwatch-dataset-v1", "provenance": "test",
+_HEADER = json.dumps({"format": "pumpwatch-dataset-v2", "provenance": "test",
                       "generator_seed": None})
 
 
 def test_load_rejects_bad_header(tmp_path):
+    # only a v1 tag gets the pointer to the conversion notes
     path = tmp_path / "bad.jsonl"
     _write_lines(path, ['{"format":"something-else"}'])
-    with pytest.raises(DatasetFormatError, match="line 1"):
+    with pytest.raises(DatasetFormatError, match="^line 1: format tag 'something-else', "
+                                                 "expected 'pumpwatch-dataset-v2'$"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("header, match", [
+    ('{"provenance":"test"}', "^line 1: format tag None, expected 'pumpwatch-dataset-v2'$"),
+    ('["pumpwatch-dataset-v2"]', "^line 1: header is not a JSON object$"),
+], ids=["no-tag", "not-an-object"])
+def test_load_rejects_a_header_without_a_tag(tmp_path, header, match):
+    path = tmp_path / "bad.jsonl"
+    _write_lines(path, [header])
+    with pytest.raises(DatasetFormatError, match=match):
+        load_dataset(path)
+
+
+def test_load_refuses_a_v1_file_naming_both_tags(tmp_path):
+    # v1 lines also held temperature, rotation_tag and tube_id, which nothing
+    # read; such a file is refused, not converted
+    v1 = _sample_obj(0, temperature=40.0, rotation_tag=False, tube_id=0)
+    path = tmp_path / "v1.jsonl"
+    _write_lines(path, [_HEADER.replace("dataset-v2", "dataset-v1"), json.dumps(v1)])
+    with pytest.raises(DatasetFormatError, match="line 1: format tag 'pumpwatch-dataset-v1', "
+                                                 "expected 'pumpwatch-dataset-v2'; "
+                                                 "docs/dataset-format.md says how to convert"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("lines, match", [
+    ([_HEADER, json.dumps(_sample_obj(0, is_anomaly=True))[:-1] + ',"is_anomaly":false}'],
+     "line 2: .*repeated key 'is_anomaly'"),
+    ([_HEADER[:-1] + ',"provenance":"rig 7"}', json.dumps(_sample_obj(0))],
+     "line 1: .*repeated key 'provenance'"),
+], ids=["sample-line", "header"])
+def test_load_refuses_a_repeated_key(tmp_path, lines, match):
+    # plain json keeps the last value, which would load the line as healthy
+    path = tmp_path / "bad.jsonl"
+    _write_lines(path, lines)
+    with pytest.raises(DatasetFormatError, match=match):
         load_dataset(path)
 
 
@@ -288,7 +320,7 @@ def test_load_rejects_bad_header(tmp_path):
     ({"generator_seed": True}, "generator_seed must be an integer"),
 ])
 def test_load_rejects_mistyped_header_fields(tmp_path, fields, match):
-    header = {"format": "pumpwatch-dataset-v1", "provenance": "test", "generator_seed": 7}
+    header = {"format": "pumpwatch-dataset-v2", "provenance": "test", "generator_seed": 7}
     path = tmp_path / "bad.jsonl"
     _write_lines(path, [json.dumps({**header, **fields}), json.dumps(_sample_obj(0))])
     with pytest.raises(DatasetFormatError, match=f"line 1: {match}"):
@@ -346,16 +378,16 @@ def test_load_rejects_unknown_field(tmp_path):
 
 def test_load_rejects_missing_field(tmp_path):
     obj = _sample_obj(0)
-    del obj["temperature"]
+    del obj["timestamp"]
     path = tmp_path / "bad.jsonl"
     _write_lines(path, [_HEADER, json.dumps(obj)])
-    with pytest.raises(DatasetFormatError, match="line 2.*temperature"):
+    with pytest.raises(DatasetFormatError, match="line 2.*timestamp"):
         load_dataset(path)
 
 
-# SensorSample gives these fields defaults; a file must still carry them, or
+# SensorSample gives this field a default; a file must still carry it, or
 # a line without is_anomaly would load as a healthy sample.
-@pytest.mark.parametrize("name", ["is_anomaly", "rotation_tag", "tube_id"])
+@pytest.mark.parametrize("name", ["is_anomaly"])
 def test_load_rejects_missing_defaulted_field(tmp_path, name):
     obj = _sample_obj(0)
     del obj[name]
@@ -393,7 +425,7 @@ def test_load_rejects_bad_frequency(tmp_path):
     ("is_anomaly", "false"),
     ("operating_freq_hz", 100.6),
     ("sample_id", 0.9),
-    ("tube_id", True),
+    ("operating_freq_hz", True),
 ])
 def test_load_rejects_wrong_scalar_type(tmp_path, field, value):
     # A cast would read "false" as anomalous, 100.6 as 100, 0.9 as 0, true as 1.
@@ -407,8 +439,8 @@ def test_load_rejects_wrong_scalar_type(tmp_path, field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("timestamp", float("nan")),
-    ("temperature", float("inf")),
-    ("temperature", float("-inf")),
+    ("timestamp", float("inf")),
+    ("timestamp", float("-inf")),
 ])
 def test_load_rejects_nonfinite_scalar(tmp_path, field, value):
     # Python's json reads NaN and Infinity; a NaN timestamp breaks the
@@ -422,16 +454,26 @@ def test_load_rejects_nonfinite_scalar(tmp_path, field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("sample_id", 2**63),
-    ("tube_id", -2**63 - 1),
+    ("sample_id", -2**63 - 1),
     ("operating_freq_hz", 10**30),
     ("timestamp", 10**400),
-], ids=["id-2**63", "tube-below-int64", "freq-10**30", "timestamp-10**400"])
+], ids=["id-2**63", "id-below-int64", "freq-10**30", "timestamp-10**400"])
 def test_load_rejects_a_number_its_column_cannot_hold(tmp_path, field, value):
     obj = _sample_obj(0)
     obj[field] = value
     path = tmp_path / "bad.jsonl"
     _write_lines(path, [_HEADER, json.dumps(obj)])
     with pytest.raises(DatasetFormatError, match=f"line 2.*{field}"):
+        load_dataset(path)
+
+
+def test_load_rejects_an_integer_too_long_to_parse(tmp_path):
+    # Python's int() refuses more than 4300 digits with a ValueError that is
+    # not a JSONDecodeError; it is still an error naming the line
+    line = json.dumps(_sample_obj(0)).replace('"sample_id": 0', '"sample_id": ' + "9" * 5000)
+    path = tmp_path / "bad.jsonl"
+    _write_lines(path, [_HEADER, line])
+    with pytest.raises(DatasetFormatError, match="line 2"):
         load_dataset(path)
 
 
@@ -461,7 +503,6 @@ def test_load_full_scale_file(tmp_path):
         f.write(_HEADER + "\n")
         for i in range(3041):
             f.write('{"sample_id":%d,"timestamp":%d,"operating_freq_hz":50,'
-                    '"temperature":40.0,"rotation_tag":false,"tube_id":0,'
                     '"is_anomaly":false,"audio":%s,"vib_x":%s,"vib_y":%s,"vib_z":%s}\n'
                     % (i, 60 * i, chan, chan, chan, chan))
     ds = load_dataset(path)
@@ -471,7 +512,7 @@ def test_load_full_scale_file(tmp_path):
 
 def test_save_validates_first(tmp_path):
     bad = Dataset(samples=[SensorSample(
-        sample_id=0, timestamp=0.0, operating_freq_hz=50, temperature=40.0,
+        sample_id=0, timestamp=0.0, operating_freq_hz=50,
         audio=np.zeros(10), vib_x=np.zeros(10), vib_y=np.zeros(10), vib_z=np.zeros(10))])
     with pytest.raises(DatasetFormatError, match="audio"):
         save_dataset(bad, tmp_path / "x.jsonl")

@@ -312,6 +312,16 @@ def test_each_reader_refuses_a_key_it_does_not_read(tmp_path, reader, error, nee
         reader(tmp_path)
 
 
+def test_an_artifact_that_repeats_a_key_is_refused_naming_it(tmp_path):
+    # plain json keeps the last value, which would load this threshold as 0.0
+    path = tmp_path / "threshold.json"
+    detect.Threshold(1.0, 0.5, 0.5, 3).save(path)
+    path.write_text(path.read_text().replace("{", '{"value": 0.0,', 1))
+    with pytest.raises(UsageError, match=re.escape(f"{path} is not valid JSON: repeated key "
+                                                   "'value'")):
+        detect.Threshold.load(path)
+
+
 def test_parse_feature_sets():
     assert parse_feature_sets("all") == list(FEATURE_SET_ORDER)
     assert parse_feature_sets(["vib3d", "audio"]) == [FeatureSetId.VIB3D,
