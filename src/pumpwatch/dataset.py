@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, DatasetFormatError, ShapeError, SplitError
 from .rng import SplitMix64, derive_seed
 from .util import (check_keys, check_types_and_finiteness, field_types, round_half_up,
-                   typed_value, unique_keys)
+                   typed_fields, typed_value, unique_keys)
 
 OPERATING_FREQS_HZ = (50, 100, 150, 200, 250)
 CHANNEL_LENGTH = 1024
@@ -321,24 +321,19 @@ def _read_row(line, row, scalars, channels):
         obj = json.loads(line, object_pairs_hook=unique_keys)
     except ValueError as e:
         raise DatasetFormatError(f"not valid JSON: {e}")
-    if not isinstance(obj, dict):
-        raise DatasetFormatError("sample line is not a JSON object")
     types = field_types(SensorSample)
-    if set(obj) != set(types):  # also the fields SensorSample gives a default
-        raise DatasetFormatError(f"unknown fields {sorted(set(obj) - set(types))}, "
-                                 f"missing fields {sorted(set(types) - set(obj))}")
+    obj = typed_fields(obj, types, "the sample", DatasetFormatError, required=types)
     for name, column in scalars.items():
         try:
-            column[row] = typed_value(obj[name], types[name], name, DatasetFormatError)
+            column[row] = obj[name]
         except OverflowError:
             raise DatasetFormatError(f"{name} is outside the {column.dtype} range, "
                                      f"got {obj[name]!r:.40}")
     for name, out in zip(CHANNELS, channels[row]):
-        values = typed_value(obj[name], np.ndarray, f"channel {name}", DatasetFormatError)
-        if values.shape != out.shape:
+        if obj[name].shape != out.shape:
             raise DatasetFormatError(f"sample {obj['sample_id']}: channel {name} has "
-                                     f"shape {values.shape}, expected {out.shape}")
-        out[...] = values
+                                     f"shape {obj[name].shape}, expected {out.shape}")
+        out[...] = obj[name]
 
 
 def split(ds: Dataset, spec: SplitSpec, seed: int):

@@ -27,7 +27,8 @@ write stage reads nothing else, and each call returns the records it wrote:
 ``model`` and ``normalizer`` if the call fitted them, ``metrics`` and
 ``timeline`` if it decided, and ``seconds`` from fit or load to decide.  A
 model is loaded by the kind the config names.  Every file but runtimes.json
-is byte-deterministic.
+is byte-deterministic.  A config, artifact or report.json is read back
+through ``util.typed_fields``, the one reader of keys and types.
 
 Output files, and the records they are written from:
     config_resolved.json, runtimes.json     every call; each record's seconds
@@ -61,8 +62,8 @@ from .rng import derive_seed
 from .signal import (FEATURE_SET_ORDER, WINDOW_SIZE, FeatureSetId, Normalizer,
                      apply_normalizer, assemble_features, channel_count,
                      feature_length, fit_normalizer, window)
-from .util import (check_keys, check_types_and_finiteness, dataclass_from_dict, read_json,
-                   typed_value, write_json)
+from .util import (check_keys, check_types_and_finiteness, dataclass_from_dict, field_types,
+                   read_json, typed_fields, write_json)
 
 
 @dataclass
@@ -136,32 +137,20 @@ class Combination:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from the JSON config-file schema."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    cfg = ExperimentConfig()
-    known = {"dataset", "split", "feature_sets", "detectors", "train", "output_dir"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    dsrc = typed_value(doc.get("dataset", {}), dict, "dataset")
-    extra = set(dsrc) - {"generate", "load"}
-    if extra:
-        raise ConfigError(f"unknown dataset keys {sorted(extra)}; "
-                          "it holds generate or load")
-    if "generate" in dsrc:
-        cfg.generate = dataclass_from_dict(GeneratorConfig, dsrc["generate"],
-                                           "dataset.generate")
-    if "load" in dsrc:
-        cfg.load = typed_value(dsrc["load"], str, "dataset.load")
-    sp = doc.get("split", {})
-    cfg.split = dataclass_from_dict(SplitSpec, sp, "split", skip=("seed",))
-    cfg.split_seed = typed_value(sp.get("seed", 0), int, "split.seed")
-    cfg.feature_sets = parse_feature_sets(doc.get("feature_sets", "all"))
-    cfg.detectors = [parse_detector(d)
-                     for d in typed_value(doc.get("detectors", []), list, "detectors")]
-    cfg.train = dataclass_from_dict(TrainConfig, doc.get("train", {}), "train")
-    cfg.output_dir = typed_value(doc.get("output_dir", "out"), str, "output_dir")
-    return cfg
+    doc = typed_fields(doc, {"dataset": dict, "split": dict, "feature_sets": object,
+                             "detectors": list, "train": dict, "output_dir": str}, "the config")
+    dsrc = typed_fields(doc.get("dataset", {}), {"generate": dict, "load": str}, "dataset")
+    sp = typed_fields(doc.get("split", {}), {**field_types(SplitSpec), "seed": int}, "split")
+    return ExperimentConfig(
+        generate=(dataclass_from_dict(GeneratorConfig, dsrc["generate"], "dataset.generate")
+                  if "generate" in dsrc else None),
+        load=dsrc.get("load"),
+        split=SplitSpec(**{key: value for key, value in sp.items() if key != "seed"}),
+        split_seed=sp.get("seed", 0),
+        feature_sets=parse_feature_sets(doc.get("feature_sets", "all")),
+        detectors=[parse_detector(d) for d in doc.get("detectors", [])],
+        train=dataclass_from_dict(TrainConfig, doc.get("train", {}), "train"),
+        output_dir=doc.get("output_dir", "out"))
 
 
 def parse_feature_sets(value) -> List[FeatureSetId]:
@@ -190,11 +179,11 @@ def parse_detector(value) -> DetectorSpec:
                           f"{[d.name for d in DetectorKind]}")
     kind = DetectorKind[name.upper()]
     what = f"detector {kind.name}"
-    spec = dataclass_from_dict(DetectorSpec, doc, what, keys=("kind", *DETECTORS[kind].keys),
-                               kind=kind, train=None)
-    if doc.get("train") is not None:
-        spec.train = dataclass_from_dict(TrainConfig, doc["train"], f"train of {what}")
-    return spec
+    types = {**field_types(DetectorSpec), "kind": str, "train": object}
+    values = typed_fields(doc, {k: types[k] for k in ("kind", *DETECTORS[kind].keys)}, what)
+    if values.get("train") is not None:  # the config echo writes null for no train
+        values["train"] = dataclass_from_dict(TrainConfig, values["train"], f"train of {what}")
+    return DetectorSpec(**{**values, "kind": kind})
 
 
 def resolved_config_dict(cfg: ExperimentConfig) -> dict:
@@ -392,21 +381,25 @@ def _write(cfg: ExperimentConfig, combos: List[Combination]) -> List[Combination
     return combos
 
 
+_REPORT_ROW = {"detector": str, "feature_set": str, "metrics": dict, "threshold": dict}
+
+
 def load_report(path) -> List[Combination]:
-    """The rows of a saved report.json, renderable by ``render_tables``."""
-    doc = read_json(path)
+    """The rows of a saved report.json, as ``_write`` writes it, for ``render_tables``."""
+    doc = typed_fields(read_json(path), {"config": dict, "rows": list}, str(path), UsageError,
+                       required=("rows",))
+    rows = [typed_fields(r, _REPORT_ROW, f"row {i} of {path}", UsageError, required=_REPORT_ROW)
+            for i, r in enumerate(doc["rows"])]
     try:
         return [Combination(DetectorSpec(DetectorKind[r["detector"]]),
                             FeatureSetId[r["feature_set"]],
                             dataclass_from_dict(detect.Threshold, r["threshold"],
-                                                f"threshold of row {i} in {path}",
-                                                error=UsageError),
+                                                f"threshold of row {i} of {path}", UsageError),
                             dataclass_from_dict(detect.Metrics, r["metrics"],
-                                                f"metrics of row {i} in {path}",
-                                                error=UsageError))
-                for i, r in enumerate(doc["rows"])]
-    except (KeyError, TypeError) as e:
-        raise UsageError(f"{path} is a malformed report: {e!r}")
+                                                f"metrics of row {i} of {path}", UsageError))
+                for i, r in enumerate(rows)]
+    except KeyError as e:
+        raise UsageError(f"{path} names an unknown detector or feature set: {e}")
 
 
 def _fmt2(v) -> str:

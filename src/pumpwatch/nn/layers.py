@@ -39,7 +39,7 @@ import numpy as np
 
 from ..errors import ShapeError, UsageError
 from ..rng import SplitMix64, derive_seed
-from ..util import field_types, typed_value
+from ..util import field_types, typed_fields, typed_value
 
 
 # Time steps of the LSTM input projection computed per matmul.
@@ -519,20 +519,19 @@ LAYER_KINDS = {cls.__name__: cls for cls in
 def layer_from_spec(spec: dict, what="layer") -> Layer:
     """The layer a ``spec()`` describes, with every constructor argument given.
 
-    A missing argument, a value that does not have its argument's annotated
-    type, such as ``"units": 64.7``, and a list element that is not an
-    integer (a list argument is a shape) are each a ``UsageError`` naming it.
+    The spec is read by ``typed_fields``: an unknown kind, a key that is not
+    an argument, a missing argument and a value that does not have its
+    argument's annotated type, such as ``"units": 64.7``, are each a
+    ``UsageError`` naming ``what``, as is a list element that is not an
+    integer (a list argument is a shape).
     """
-    kind = spec.get("kind")
+    kind = typed_value(spec, dict, what, UsageError).get("kind")
     if kind not in LAYER_KINDS:
-        raise ShapeError(f"unknown layer kind {kind!r}")
+        raise UsageError(f"unknown layer kind {kind!r} in {what}")
     cls = LAYER_KINDS[kind]
     types = field_types(cls.__init__)
-    missing = [k for k in types if k not in spec]
-    if missing:
-        raise UsageError(f"{kind} {what} lacks the key {missing[0]!r}")
-    kwargs = {k: typed_value(v, types[k], f"{k} of {what}", UsageError)
-              if k in types else v for k, v in spec.items() if k != "kind"}
+    kwargs = typed_fields(spec, {"kind": str, **types}, f"{kind} {what}", UsageError, types)
+    del kwargs["kind"]
     for k in [k for k, tp in types.items() if tp is list]:
         for i, item in enumerate(kwargs[k]):
             typed_value(item, int, f"{k}[{i}] of {what}", UsageError)

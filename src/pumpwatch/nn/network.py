@@ -15,10 +15,12 @@ import numpy as np
 
 from ..errors import ShapeError, UsageError
 from ..rng import derive_seed
-from ..util import check_keys, read_json, write_json
+from ..util import read_json, typed_fields, write_json
 from .layers import layer_from_spec
 
 _CHECKPOINT_TAG = "pumpwatch-model-v1"
+_CHECKPOINT = {"format": str, "layers": list, "params": dict}
+_TENSOR = {"shape": list, "data": str}
 
 # Rows per chunk of ``by_chunks``, which bounds the memory of all scoring:
 # ``Network.predict`` runs one forward per chunk, and the score stage of the
@@ -164,23 +166,24 @@ class Network:
     @classmethod
     def load(cls, path):
         """A saved network, each layer checked by ``layer_from_spec`` and each tensor finite;
-        a key of the document or of a tensor entry that ``save`` does not write is refused."""
+        the document and each tensor entry hold exactly the keys ``save`` writes."""
         doc = read_json(path)
         tag = doc.get("format") if isinstance(doc, dict) else None
         if tag != _CHECKPOINT_TAG:
             raise UsageError(f"{path} is not a model checkpoint: format tag {tag!r}")
+        doc = typed_fields(doc, _CHECKPOINT, str(path), UsageError, required=_CHECKPOINT)
         try:
-            check_keys(doc, ("format", "layers", "params"), str(path), UsageError)
             net = cls([layer_from_spec(s, f"layer {idx} of {path}")
                        for idx, s in enumerate(doc["layers"])])
             values = {}
             for name, entry in doc["params"].items():
-                check_keys(entry, ("shape", "data"), f"tensor {name} of {path}", UsageError)
+                entry = typed_fields(entry, _TENSOR, f"tensor {name} of {path}", UsageError,
+                                     required=_TENSOR)
                 raw = base64.b64decode(entry["data"])
                 values[name] = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
                 if not np.isfinite(values[name]).all():
                     raise UsageError(f"{name} in {path} must be finite")
-        except (KeyError, TypeError, ValueError, AttributeError) as e:
+        except (TypeError, ValueError) as e:  # a size no layer or tensor can take
             raise UsageError(f"{path} is a malformed model checkpoint: {e!r}")
         net.set_parameters(values)
         return net

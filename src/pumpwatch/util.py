@@ -1,4 +1,5 @@
-"""Small shared helpers."""
+"""Small shared helpers, among them ``typed_fields``, the one reader of every
+JSON object in a config, artifact, checkpoint, dataset line or report.json."""
 
 import dataclasses
 import functools
@@ -63,10 +64,17 @@ def typed_value(value, tp, what, error=ConfigError):
     An int takes a JSON integer (not true, not 64.7), a float any JSON
     number, stored as a float, a bool true or false and an ndarray nested
     lists of numbers in equal rows, stored as a float64 array; str, list
-    and dict take their own JSON type.  Anything else is ``error`` naming ``what``.
+    and dict take their own JSON type, and object any value.  Anything else,
+    an integer too large for a float included, is ``error`` naming ``what``.
     """
+    if tp is object:
+        return value
     if tp is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise error(f"{what} is outside the float range, got an integer of "
+                        f"{len(str(abs(value)))} digits") from None
     if tp is np.ndarray and isinstance(value, list):
         cells = np.array(value, dtype=object)  # a ragged list leaves lists in cells
         try:
@@ -130,29 +138,27 @@ def check_keys(keys, known, what, error=ConfigError):
         raise error(f"unknown keys {sorted(unknown)} in {what}; known keys are {sorted(known)}")
 
 
-def dataclass_from_dict(cls, doc, what, skip=(), error=ConfigError, keys=None, **parsed):
-    """``cls(**doc)`` for a JSON object ``doc``, each value of its field's type.
-
-    The keys in ``skip`` are left out.  ``parsed`` holds the fields the
-    caller has built itself and passes them on unchecked.  A ``doc`` that is
-    not an object, a key that is neither a field of ``cls`` (one of ``keys``,
-    if given) nor in ``skip``, a missing field without a default and a value
-    of the wrong type (``typed_value``) are each ``error`` naming ``what``.
-    """
+def typed_fields(doc, types, what, error=ConfigError, required=()):
+    """The JSON object ``doc``, each value as ``typed_value`` stores its key's
+    type in ``types``.  A ``doc`` that is not an object, a key not in ``types``,
+    a missing key of ``required`` and a value of the wrong type (named
+    ``<key> in <what>``) are each ``error`` naming ``what``."""
     if not isinstance(doc, dict):
         raise error(f"{what} must be a JSON object, not {type(doc).__name__}")
-    fields = dataclasses.fields(cls)
-    names = {f.name for f in fields} if keys is None else set(keys)
-    check_keys(doc, names | set(skip), what, error)
-    missing = [f.name for f in fields if f.name not in doc and f.name not in parsed
-               and f.default is dataclasses.MISSING
-               and f.default_factory is dataclasses.MISSING]
+    check_keys(doc, types, what, error)
+    missing = [key for key in required if key not in doc]
     if missing:
         raise error(f"{what} lacks the keys {missing}")
-    types = field_types(cls)
-    values = {name: typed_value(value, types[name], f"{name} in {what}", error)
-              for name, value in doc.items() if name in names and name not in parsed}
-    return cls(**values, **parsed)
+    return {key: typed_value(value, types[key], f"{key} in {what}", error)
+            for key, value in doc.items()}
+
+
+def dataclass_from_dict(cls, doc, what, error=ConfigError):
+    """``cls(**doc)`` for a JSON object ``doc`` read by ``typed_fields``, whose
+    required keys are the fields of ``cls`` without a default."""
+    required = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING]
+    return cls(**typed_fields(doc, field_types(cls), what, error, required))
 
 
 class JsonFields:

@@ -319,7 +319,7 @@ def _run_flags(*flags):
     (_config({"feature_sets": 5}), "feature_sets"),
     (_config({"detectors": "dnn"}), "detectors"),
     (_config({"dataset": [1]}), "dataset"),
-    (_config({"split": {"seed": "x"}}), "split.seed"),
+    (_config({"split": {"seed": "x"}}), "seed in split"),
     (_bad_file("generate", "--gen-config", '{"n_samples_per_condition": 4.5}'),
      "n_samples_per_condition"),
     (_bad_file("report", "--report", json.dumps(
@@ -342,6 +342,37 @@ def test_bad_input_file_exits_2_naming_the_file_or_key(tmp_path, capsys, build, 
     assert main(build(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
+
+
+# An integer beyond the float range, whose float() raises OverflowError.
+_HUGE = 10 ** 400
+
+
+def _evaluate_with_huge_std(dataset_file, tmp_path):
+    outdir = tmp_path / "out"
+    assert main(_run_args(dataset_file, outdir, command="train")) == 0
+    path = outdir / "artifacts" / "bm_iqr_vib1d" / "threshold.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "std": _HUGE}))
+    return _run_args(dataset_file, outdir, command="evaluate")
+
+
+@pytest.mark.parametrize("build, needles", [
+    (lambda data, tmp: _config({"train": {"learning_rate": _HUGE}})(tmp),
+     ["learning_rate in train is outside the float range"]),
+    (lambda data, tmp: _bad_file("generate", "--gen-config",
+                                 json.dumps({"noise_std": _HUGE}))(tmp),
+     ["noise_std in generator config", "input.json is outside the float range"]),
+    (_evaluate_with_huge_std, ["std in ", "threshold.json is outside the float range"]),
+], ids=["config-learning-rate", "gen-config-noise-std", "threshold-std"])
+def test_an_integer_too_large_for_a_float_exits_2_naming_its_key(dataset_file, tmp_path, capsys,
+                                                                 build, needles):
+    # float() of it raised OverflowError, which reached the user as a traceback
+    args = build(dataset_file, tmp_path)
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert all(needle in err for needle in needles), err
 
 
 @pytest.mark.parametrize("command", ["run", "evaluate"])
@@ -477,4 +508,4 @@ def test_evaluate_of_a_mistyped_checkpoint_exits_2_with_one_error_line(
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:")
-    assert "return_sequences of layer 8 of" in err and "model.json" in err
+    assert "return_sequences in LSTM layer 8 of" in err and "model.json" in err

@@ -393,7 +393,8 @@ def test_load_rejects_missing_defaulted_field(tmp_path, name):
     del obj[name]
     path = tmp_path / "bad.jsonl"
     _write_lines(path, [_HEADER, json.dumps(obj)])
-    with pytest.raises(DatasetFormatError, match=f"line 2.*missing.*{name}"):
+    with pytest.raises(DatasetFormatError,
+                       match=f"^line 2: the sample lacks the keys \\['{name}'\\]$"):
         load_dataset(path)
 
 
@@ -484,7 +485,8 @@ def test_load_rejects_a_channel_value_that_is_not_a_number(tmp_path, value):
     obj["audio"][7] = value
     path = tmp_path / "bad.jsonl"
     _write_lines(path, [_HEADER, json.dumps(obj)])
-    with pytest.raises(DatasetFormatError, match="line 2: channel audio must be a list of num"):
+    with pytest.raises(DatasetFormatError,
+                       match="line 2: audio in the sample must be a list of num"):
         load_dataset(path)
 
 

@@ -279,6 +279,26 @@ _FOREIGN_FIELDS = [(DetectorSpec(kind=DetectorKind.DNN, cnn_bottleneck=16), "cnn
                    (DetectorSpec(kind=DetectorKind.BM_IQR, n=7), "n")]
 
 
+def _report_with(path, row=(), doc=()):
+    """``path`` holding a one-row report.json whose row and document carry
+    the given keys beside those ``run`` writes."""
+    path.write_text(json.dumps({
+        "config": {}, **dict(doc),
+        "rows": [{"detector": "DNN", "feature_set": "VIB1D",
+                  "metrics": dataclasses.asdict(detect.Metrics(1.0, 1.0, 1.0, 1.0, 1, 0, 1, 0)),
+                  "threshold": dataclasses.asdict(detect.Threshold(1.0, 0.5, 0.5, 3)),
+                  **dict(row)}]}))
+    return path
+
+
+def _checkpoint_with_layer_key(path):
+    build_dnn(64, 64).network.save(path)
+    doc = json.loads(path.read_text())
+    doc["layers"][0]["stray"] = 1
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def _artifact_case(name, load, obj, entry=None, where=""):
     return pytest.param(lambda tmp: load(_saved_with_key(obj, tmp / name, entry)), UsageError,
                         f"unknown keys ['stray'] in {where}{{tmp}}/{name};",
@@ -286,6 +306,13 @@ def _artifact_case(name, load, obj, entry=None, where=""):
 
 
 @pytest.mark.parametrize("reader, error, needle", [
+    pytest.param(lambda tmp: config_from_dict({"stray": 1}), ConfigError,
+                 "unknown keys ['stray'] in the config; known keys are ['dataset', 'detectors',",
+                 id="config-file"),
+    pytest.param(lambda tmp: config_from_dict({"dataset": {"generate": {}, "stray": 1}}),
+                 ConfigError,
+                 "unknown keys ['stray'] in dataset; known keys are ['generate', 'load']",
+                 id="config-file-dataset"),
     pytest.param(lambda tmp: config_from_dict({"detectors": [{"kind": "bm_iqr", "n": 7}]}),
                  ConfigError, "unknown keys ['n'] in detector BM_IQR; known keys are ['kind']",
                  id="config-file-detector"),
@@ -300,14 +327,26 @@ def _artifact_case(name, load, obj, entry=None, where=""):
     _artifact_case("model.json", Network.load, build_dnn(64, 64).network),
     _artifact_case("model.json", Network.load, build_dnn(64, 64).network, entry="params",
                    where="tensor L0.W of "),
+    pytest.param(lambda tmp: Network.load(_checkpoint_with_layer_key(tmp / "model.json")),
+                 UsageError, "unknown keys ['stray'] in Dense layer 0 of {tmp}/model.json;",
+                 id="model-layer"),
     pytest.param(lambda tmp: load_dataset(_dataset_with_header_key(tmp / "pumps.jsonl")),
                  DatasetFormatError, "line 1: unknown keys ['provenence'] in the header;",
                  id="dataset-header"),
+    pytest.param(lambda tmp: load_report(_report_with(tmp / "report.json", doc={"stray": 1})),
+                 UsageError, "unknown keys ['stray'] in {tmp}/report.json;", id="report"),
+    pytest.param(lambda tmp: load_report(_report_with(tmp / "report.json", row={"stray": 1})),
+                 UsageError, "unknown keys ['stray'] in row 0 of {tmp}/report.json;",
+                 id="report-row"),
+    pytest.param(lambda tmp: load_report(_report_with(tmp / "report.json", row={"detector": 5})),
+                 UsageError, "detector in row 0 of {tmp}/report.json must be a string, got 5",
+                 id="report-row-numeric-detector"),
 ])
 def test_each_reader_refuses_a_key_it_does_not_read(tmp_path, reader, error, needle):
-    # config files always did; artifact files skipped such a key, a Python
-    # DetectorSpec kept it unechoed, and a checkpoint or dataset header
-    # never looked
+    # config files always did; artifact files and report.json skipped such
+    # a key, a Python DetectorSpec kept it unechoed, a checkpoint or dataset
+    # header never looked, and a layer spec's surfaced as a TypeError; a
+    # report row's detector 5 was a KeyError
     with pytest.raises(error, match=re.escape(needle.format(tmp=tmp_path))):
         reader(tmp_path)
 

@@ -866,9 +866,12 @@ def _dense_checkpoint(first_weight):
     ('{"format": "pumpwatch-model-v1", "layers": []}', "model.json"),
     ('{"format": "pumpwatch-model-v1", "layers": [{"kind": "Tanh", "size": 3}], '
      '"params": {}}', "model.json"),
+    ('{"format": "pumpwatch-model-v1", "layers": [{"kind": "Dense2"}], "params": {}}',
+     "unknown layer kind 'Dense2' in layer 0 of .*model.json"),
     (_dense_checkpoint(float("nan")), "L0.W in .*model.json must be finite"),
     (_dense_checkpoint(float("inf")), "L0.W in .*model.json must be finite"),
-], ids=["truncated", "no-params", "bad-layer-spec", "nan-weight", "inf-weight"])
+], ids=["truncated", "no-params", "bad-layer-spec", "unknown-layer-kind", "nan-weight",
+        "inf-weight"])
 def test_malformed_checkpoint_is_a_usage_error_naming_the_file(tmp_path, text, needle):
     path = tmp_path / "model.json"
     path.write_text(text)
@@ -966,14 +969,14 @@ def test_checkpoint_value_of_the_wrong_type_is_a_usage_error(tmp_path, index, ke
     doc = json.loads(path.read_text())
     doc["layers"][index][key] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(UsageError, match=f"{key} of layer {index} of .*model.json"):
+    with pytest.raises(UsageError, match=f"{key} in \\w+ layer {index} of .*model.json"):
         Network.load(path)
 
 
 def test_layer_spec_without_an_argument_is_a_usage_error():
     # return_sequences has a default, but a checkpoint must still hold it
-    with pytest.raises(UsageError, match="LSTM layer 3 of model.json lacks the key "
-                                         "'return_sequences'"):
+    with pytest.raises(UsageError, match="LSTM layer 3 of model.json lacks the keys "
+                                         r"\['return_sequences'\]"):
         layers.layer_from_spec({"kind": "LSTM", "in_dim": 3, "units": 4},
                                "layer 3 of model.json")
 
