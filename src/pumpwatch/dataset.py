@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, DatasetFormatError, ShapeError, SplitError
 from .rng import SplitMix64, derive_seed
-from .util import (check_keys, check_types_and_finiteness, field_types, round_half_up,
-                   typed_fields, typed_value, unique_keys)
+from .util import (check_keys, check_types_and_finiteness, create, field_types,
+                   round_half_up, typed_fields, typed_value, unique_keys)
 
 OPERATING_FREQS_HZ = (50, 100, 150, 200, 250)
 CHANNEL_LENGTH = 1024
@@ -262,7 +262,7 @@ def save_dataset(ds: Dataset, path):
     file reloads to bit-identical values.
     """
     ds.validate()
-    with open(path, "w") as f:
+    with create(path) as f:
         header = {"format": _FORMAT_TAG, "provenance": ds.provenance,
                   "generator_seed": ds.generator_seed}
         f.write(json.dumps(header, separators=(",", ":")) + "\n")

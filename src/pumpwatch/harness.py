@@ -17,8 +17,10 @@ dataset split, in stages that return values:
 - decide: each sample's majority-vote flag from its (1, windows) row, and
   the timeline: one array per column over all splits, in (timestamp,
   sample_id) order; the metrics of its eval rows, from two boolean arrays;
-- write: the only stage that writes files.  It runs once every combination
-  is done, so a failing call writes nothing.
+- write: the only stage that writes files, each through ``util.create``,
+  which removes an existing regular file and creates it anew rather than
+  truncating it.  It runs once every combination is done, so a failing
+  call writes nothing.
 
 ``run_experiment`` fits (scoring every split) and decides, ``train_experiment``
 fits (scoring the threshold split only), and ``evaluate_experiment`` loads and decides.
@@ -62,8 +64,8 @@ from .rng import derive_seed
 from .signal import (FEATURE_SET_ORDER, WINDOW_SIZE, FeatureSetId, Normalizer,
                      apply_normalizer, assemble_features, channel_count,
                      feature_length, fit_normalizer, window)
-from .util import (check_keys, check_types_and_finiteness, dataclass_from_dict, field_types,
-                   read_json, typed_fields, write_json)
+from .util import (check_keys, check_types_and_finiteness, create, dataclass_from_dict,
+                   field_types, read_json, typed_fields, write_json)
 
 
 @dataclass
@@ -362,16 +364,18 @@ def _write(cfg: ExperimentConfig, combos: List[Combination]) -> List[Combination
         if c.metrics is not None:
             th = repr(float(c.threshold.value))
             rows = zip(*(c.timeline[name].tolist() for name in TIMELINE_COLUMNS))
-            (outdir / f"timeline_{tag}.csv").write_text("".join(
-                ["sample_id,timestamp,score,threshold,flagged,truth,split\n"]
-                + [f"{i},{t!r},{score!r},{th},{str(flagged).lower()},{str(truth).lower()},{part}\n"
-                   for i, t, score, flagged, truth, part in rows]))
+            with create(outdir / f"timeline_{tag}.csv") as f:
+                f.write("".join(
+                    ["sample_id,timestamp,score,threshold,flagged,truth,split\n"]
+                    + [f"{i},{t!r},{score!r},{th},{str(flagged).lower()},{str(truth).lower()},"
+                       f"{part}\n" for i, t, score, flagged, truth, part in rows]))
     write_json({f"{c.detector.kind.name}/{c.feature_set.name}": c.seconds for c in combos},
                outdir / "runtimes.json")
     if all(c.metrics is not None for c in combos):
         text, csv_text = render_tables(combos)
-        (outdir / "report.txt").write_text(text)
-        (outdir / "report.csv").write_text(csv_text)
+        for name, content in (("report.txt", text), ("report.csv", csv_text)):
+            with create(outdir / name) as f:
+                f.write(content)
         write_json({"config": resolved,
                     "rows": [{"detector": c.detector.kind.name,
                               "feature_set": c.feature_set.name,

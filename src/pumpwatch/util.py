@@ -1,10 +1,13 @@
 """Small shared helpers, among them ``typed_fields``, the one reader of every
-JSON object in a config, artifact, checkpoint, dataset line or report.json."""
+JSON object in a config, artifact, checkpoint, dataset line or report.json,
+and ``create``, the one opener of every file the package writes."""
 
 import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 import typing
 
 import numpy as np
@@ -21,9 +24,29 @@ def round_half_up(v):
     return int(math.floor(v + 0.5))
 
 
+def create(path):
+    """``path`` opened as a new, empty text file: an existing regular file
+    there is removed first, never truncated in place.
+
+    Truncating a file in place, or renaming a new one over it, can stall
+    for over a second on an ext4 file system mounted with ``discard``;
+    removing the name first avoids that.  So a hard link at ``path`` is
+    replaced, and its other names keep the old bytes, and the new file
+    gets the mode and owner of a new file, not the old one's.  Anything
+    else at ``path`` (a symlink, FIFO or device) is written through, as
+    ``open`` does, and never removed.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w")
+
+
 def write_json(doc, path):
     """The output format of every JSON file: sorted keys, indent 2, final newline."""
-    with open(path, "w") as f:
+    with create(path) as f:
         json.dump(doc, f, sort_keys=True, indent=2)
         f.write("\n")
 

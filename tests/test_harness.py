@@ -789,28 +789,29 @@ def test_a_failing_combination_is_named_and_keeps_its_error(tmp_path, small_data
     assert info.value.line_number == 3 and info.value.__cause__ is cause
 
 
-def test_identical_configs_reproduce_output_bytes(tmp_path, small_dataset):
-    """Everything except the runtimes sidecar must be byte-identical."""
-    outdir = tmp_path / "out"
-
-    def go():
+def test_identical_configs_reproduce_output_bytes(tmp_path, small_dataset, monkeypatch):
+    """Everything except the runtimes sidecar must be byte-identical: after
+    one run, after a second run into the same directory, which replaces
+    each file, and after a run into a fresh directory of the same name."""
+    def go(workdir):
+        workdir.mkdir(exist_ok=True)
+        monkeypatch.chdir(workdir)
         cfg = ExperimentConfig(
             generate=GeneratorConfig(n_samples_per_condition=8, seed=7),
             feature_sets=[FeatureSetId.VIB1D],
             detectors=[DetectorSpec(kind=DetectorKind.DNN, n=64),
                        DetectorSpec(kind=DetectorKind.BM_IQR)],
             train=TrainConfig(max_epochs=2),
-            output_dir=str(outdir))
+            output_dir="out")
         run_experiment(cfg, small_dataset)
-
-    go()
-    snapshot = {p.relative_to(outdir): p.read_bytes()
-                for p in outdir.rglob("*")
+        return {p.relative_to(workdir): p.read_bytes()
+                for p in (workdir / "out").rglob("*")
                 if p.is_file() and p.name != "runtimes.json"}
+
+    snapshot = go(tmp_path / "reused")
     assert snapshot
-    go()
-    for rel, data in snapshot.items():
-        assert (outdir / rel).read_bytes() == data, rel
+    assert go(tmp_path / "reused") == snapshot
+    assert go(tmp_path / "fresh") == snapshot
 
 
 # -------------------------------------------------------- rendering
